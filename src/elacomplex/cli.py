@@ -65,6 +65,7 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 _WEIGHT_MODES = {"identity": "identity", "random": "random-spd", "random-spd": "random-spd"}
 
 
@@ -74,13 +75,22 @@ def _load_config_file(path):
             data = json.load(f)
     except OSError as exc:
         raise ConfigError("cannot read config file: %s" % exc)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError("config file is not valid JSON: %s" % exc)
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     unknown = set(data) - _CONFIG_FIELDS
     if unknown:
         raise ConfigError("unknown config keys: %s" % ", ".join(sorted(unknown)))
+    for field in dataclasses.fields(RunConfig):
+        value = data.get(field.name, field.default)
+        if value is None and field.default is None:
+            continue
+        kinds = (int, float) if field.type is float else field.type
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ConfigError(
+                "%s must be %s, got %r" % (field.name, _TYPE_NAMES[field.type], value)
+            )
     return data
 
 
@@ -99,7 +109,7 @@ def _resolve_config(args):
         raise ConfigError(str(exc))
     for name in ("seed", "trials", "degree", "p"):
         value = getattr(cfg, name)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        if value < 0:
             raise ConfigError("%s must be a nonnegative integer" % name)
     if cfg.weights not in _WEIGHT_MODES:
         raise ConfigError(
@@ -300,15 +310,21 @@ def _load_fixture(cfg):
     try:
         with open(path) as f:
             data = json.load(f)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError("cannot read fixture: %s" % exc)
+    except ValueError as exc:
         raise ConfigError("fixture is not valid JSON: %s" % exc)
     try:
         return path.stem, fa.FiniteComplex.from_json_dict(data)
     except KeyError as exc:
         raise ConfigError("fixture misses required field %s" % exc)
+    except fa.NotSPD:
+        raise  # verification failure: a Gram that is not SPD
     except fa.DimensionMismatch as exc:
         if "complex property" in str(exc):
             raise  # verification failure: reported with the composite norm
+        raise ConfigError("invalid fixture: %s" % exc)
+    except (TypeError, ValueError) as exc:
         raise ConfigError("invalid fixture: %s" % exc)
 
 

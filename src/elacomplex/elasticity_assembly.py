@@ -14,12 +14,13 @@ image is either a basis vector of the next level or an exactly verified
 rational combination of earlier image basis vectors.  As a consequence the
 compositions A1*A0 and A2*A1 vanish identically at the rational stage.
 
-Linear independence of the candidate fields is decided by modular echelon
-elimination with rational reconstruction (`exactlin`); every dependency that
-the selection reports is re-verified by exact rational arithmetic on the
-coefficient vectors, so the kept basis, the operator matrices, and all
-derived integer invariants (ranks, kernel dimensions, cohomology dimensions)
-are certified, not merely floating-point estimates.
+Linear independence of the candidate fields is decided by one call,
+`exactlin.select_rows`: modular echelon elimination with rational
+reconstruction, which checks every dependency it reports by exact rational
+arithmetic on the coefficient rows before returning it.  The kept basis, the
+operator matrices, and all derived integer invariants (ranks, kernel
+dimensions, cohomology dimensions) are therefore certified, not merely
+floating-point estimates.
 """
 
 import math
@@ -53,7 +54,7 @@ class DegreeTooLow(ValueError):
 
 
 class AssemblyError(RuntimeError):
-    """Exact assembly failed even after escalating the modular prime set."""
+    """Exact assembly failed: no certified row selection, or a broken invariant."""
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +438,8 @@ def _pow2(k):
 class ExactOperator:
     """A matrix with exact rational entries, stored column-wise.
 
-    Columns are None (zero), ("single", row, value), or ("dense",
-    ((row, value), ...)).
+    Each column is a tuple of (row, value) pairs with nonzero values; a zero
+    column is the empty tuple.
     """
 
     __slots__ = ("nrows", "ncols", "cols")
@@ -451,12 +452,7 @@ class ExactOperator:
         self.cols = tuple(cols)
 
     def column(self, j):
-        col = self.cols[j]
-        if col is None:
-            return {}
-        if col[0] == "single":
-            return {col[1]: col[2]}
-        return dict(col[1])
+        return dict(self.cols[j])
 
     def apply(self, vec):
         """Apply to an exact coefficient vector {index: rational}."""
@@ -484,13 +480,8 @@ class ExactOperator:
     def to_float(self):
         out = np.zeros((self.nrows, self.ncols), dtype=np.float64)
         for j, col in enumerate(self.cols):
-            if col is None:
-                continue
-            if col[0] == "single":
-                out[col[1], j] = float(col[2])
-            else:
-                for r, v in col[1]:
-                    out[r, j] = float(v)
+            for r, v in col:
+                out[r, j] = float(v)
         return out
 
 
@@ -514,42 +505,13 @@ class ComplexLevel:
         return len(self.fields)
 
 
-def _verify_expansions(expansions, kept, coord_dicts):
-    """Check each reported dependency by exact rational arithmetic."""
-    for idx, coeffs in expansions.items():
-        acc = dict(coord_dicts[idx])
-        for coeff, src in zip(coeffs, kept):
-            if coeff == 0:
-                continue
-            for j, q in coord_dicts[src].items():
-                val = acc.get(j, Q(0)) - coeff * q
-                if val == 0:
-                    acc.pop(j, None)
-                else:
-                    acc[j] = val
-        if acc:
-            return False
-    return True
-
-
-_PRIME_LADDER = (3, 5, 8, 12)
-
-
 def _select_exact(coord_dicts, flags, width):
+    """Certified row selection on exact coordinate dictionaries."""
     nums, dens = _integer_rows(coord_dicts, width)
-    for nprimes in _PRIME_LADDER:
-        try:
-            kept, expansions = exactlin.select_rows(
-                nums,
-                dens=dens,
-                expand_flags=flags,
-                primes=exactlin.PRIMES[:nprimes],
-            )
-        except exactlin.ReconstructionFailure:
-            continue
-        if _verify_expansions(expansions, kept, coord_dicts):
-            return kept, expansions, nprimes
-    raise AssemblyError("exact selection failed with every available prime set")
+    try:
+        return exactlin.select_rows(nums, dens=dens, expand_flags=flags)
+    except exactlin.ReconstructionFailure as exc:
+        raise AssemblyError("exact selection failed: %s" % exc)
 
 
 def _normalized_level(kind, cand_fields, cand_coords, kept, provenance, nvar):
@@ -618,16 +580,18 @@ def _assemble_level(prev_level, op_fun, op_name, out_kind, generators, nvar):
     for i in range(prev_level.dim):
         slot = image_slot.get(i)
         if slot is None:
-            cols.append(None)
+            cols.append(())
         elif slot in position:
             pos = position[slot]
-            cols.append(("single", pos, scales[pos]))
+            cols.append(((pos, scales[pos]),))
         else:
-            entries = []
-            for coeff, src in zip(expansions[slot], kept):
-                if coeff != 0:
-                    entries.append((position[src], coeff * scales[position[src]]))
-            cols.append(("dense", tuple(entries)))
+            cols.append(
+                tuple(
+                    (position[src], coeff * scales[position[src]])
+                    for coeff, src in zip(expansions[slot], kept)
+                    if coeff != 0
+                )
+            )
     operator = ExactOperator(level.dim, prev_level.dim, cols)
     stats = {
         "operator": op_name,
@@ -906,7 +870,7 @@ def _assemble_chain(p, bc, extras):
             for (a, b, c) in poly.terms:
                 nvar0 = max(nvar0, a + 1, b + 1, c + 1)
     coords0 = [_exact_coords(f, "vector", nvar0) for f in fields0]
-    level0, scales0 = _normalized_level(
+    level0, _ = _normalized_level(
         "vector",
         fields0,
         coords0,
@@ -938,13 +902,9 @@ def _assemble_chain(p, bc, extras):
         _generator_space("vector", p - 4, bc, 0),
         nvar,
     )
-    ec = ElasticityComplex(
+    return ElasticityComplex(
         p, bc, [level0, level1, level2, level3], [a0, a1, a2], [s0, s1, s2]
     )
-    ec.v0_space = v0
-    ec.v0_extras = tuple(extras)
-    ec.v0_scales = tuple(scales0)
-    return ec
 
 
 def _kernel_overflow_fields(ec):
@@ -964,34 +924,14 @@ def _kernel_overflow_fields(ec):
         if prov[0] == "generator"
     ]
     for pos, prov in enumerate(level1.provenance):
-        if prov[0] == "image" and a1.cols[pos] is not None:
+        if prov[0] == "image" and a1.cols[pos]:
             raise AssemblyError("image basis vector with nonzero A1 column")
     if not gen_pos:
         return []
     columns = [a1.column(pos) for pos in gen_pos]
-    width = ec.levels[2].dim
-    if width == 0:
-        kept, expansions = [], {
-            i: [] for i in range(len(gen_pos))
-        }
-    else:
-        nums, dens = _integer_rows(columns, width)
-        kept, expansions = exactlin.select_rows(
-            nums,
-            dens=dens,
-            expand_flags=[True] * len(gen_pos),
-            primes=exactlin.PRIMES[:3],
-        )
-        if not _verify_expansions(expansions, kept, columns):
-            nums, dens = _integer_rows(columns, width)
-            kept, expansions = exactlin.select_rows(
-                nums,
-                dens=dens,
-                expand_flags=[True] * len(gen_pos),
-                primes=exactlin.PRIMES[:6],
-            )
-            if not _verify_expansions(expansions, kept, columns):
-                raise AssemblyError("kernel expansion failed to verify")
+    kept, expansions, _ = _select_exact(
+        columns, [True] * len(gen_pos), ec.levels[2].dim
+    )
     fields = []
     for j, coeffs in sorted(expansions.items()):
         f = level1.fields[gen_pos[j]]

@@ -1,23 +1,22 @@
 """Exact linear algebra over the rationals via multi-modular arithmetic.
 
-The assembly stage needs three primitives, all on rational candidate
-matrices whose rows are coordinate vectors:
-
-* select a maximal linearly independent subset of rows, processed in a
-  fixed order (earlier rows win ties),
-* for designated dependent rows, the exact rational expansion over the
-  kept rows that precede them,
-* certified ranks.
+The assembly stage and the de Rham oracle need one primitive on rational
+row matrices: `select_rows`, which selects a maximal linearly independent
+subset of rows in a fixed order (earlier rows win ties) and returns, for
+designated dependent rows, the exact rational expansion over the kept rows
+that precede them.  The number of kept rows is the certified rank.
 
 Everything runs modulo word-sized primes with float64 BLAS matmuls (a
 13-bit limb split keeps every intermediate below 2^53, hence exact), and
 dependent-row expansions are lifted to exact rationals by CRT plus
 rational reconstruction.  Independence mod any prime already certifies
-independence over the rationals; reconstructed expansions are verified
-exactly by the caller, so a wrong lift can only fail loudly, never pass.
+independence over the rationals; every lifted expansion is then checked
+exactly against its rational row before it is returned, and the prime set
+grows until the check passes, so a wrong lift can only fail loudly
+(`ReconstructionFailure`), never pass.
 """
 
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -206,28 +205,8 @@ def rat_reconstruct(a, m):
     return Q(r1, s1)
 
 
-def select_rows(nums, dens=None, expand_flags=None, primes=None, block=128):
-    """Select a maximal independent row subset, in order, with exact lifts.
-
-    nums: (n, m) int64 numerators; dens: (n,) int64 denominators.
-    expand_flags: boolean mask of rows whose dependency (if any) must be
-    returned as an exact rational expansion over earlier kept rows.
-
-    Returns (kept_indices, expansions): expansions maps a dependent flagged
-    row index to a list of Q aligned with kept_indices (zeros for kept rows
-    that come after it).  Kept rows are certifiably independent over Q
-    (independence mod one prime suffices); the kept set itself and the
-    lifted expansions are cross-checked over every prime supplied, and the
-    caller is expected to verify expansions exactly once more.
-    """
-    n, m = nums.shape
-    nums = np.ascontiguousarray(nums, dtype=np.int64)
-    if dens is None:
-        dens = np.ones(n, dtype=np.int64)
-    if expand_flags is None:
-        expand_flags = np.zeros(n, dtype=bool)
-    if primes is None:
-        primes = PRIMES[:2] if not np.any(expand_flags) else PRIMES[:3]
+def _select_mod(nums, dens, expand_flags, primes, block):
+    """One attempt: a pass per prime, agreeing kept sets, lifted expansions."""
     passes = [_run_pass(nums, dens, expand_flags, p, block) for p in primes]
     kept = passes[0].kept
     for sweep in passes[1:]:
@@ -252,20 +231,59 @@ def select_rows(nums, dens=None, expand_flags=None, primes=None, block=128):
     return kept, expansions
 
 
-def rank_mod(nums, dens=None, p=PRIMES[0], block=128):
-    """Rank of the rational row matrix mod p (a lower bound on the rank
-    over Q, equal to it for all but finitely many primes)."""
+def _expansions_hold(nums, dens, kept, expansions):
+    """Exact check that each row nums[i]/dens[i] equals its expansion."""
+    for idx, coeffs in expansions.items():
+        weights = [(k, c / int(dens[k])) for c, k in zip(coeffs, kept) if c != 0]
+        den = int(dens[idx])
+        scale = lcm(den, *(int(w.denominator) for _, w in weights))
+        acc = nums[idx].astype(object) * (scale // den)
+        for k, w in weights:
+            nz = np.flatnonzero(nums[k])
+            acc[nz] -= nums[k, nz].astype(object) * int(w * scale)
+        if np.any(acc != 0):
+            return False
+    return True
+
+
+def select_rows(nums, dens=None, expand_flags=None, primes=None, block=128):
+    """Select a maximal independent row subset, in order, with exact lifts.
+
+    nums: (n, m) int64 numerators; dens: (n,) integer denominators.
+    expand_flags: boolean mask of rows whose dependency (if any) must be
+    returned as an exact rational expansion over earlier kept rows.
+
+    Returns (kept_indices, expansions, primes_used): expansions maps a
+    dependent flagged row index to a list of Q aligned with kept_indices
+    (zeros for kept rows that come after it), and primes_used is the number
+    of primes of the attempt that succeeded.  Kept rows are certifiably
+    independent over Q (independence mod one prime suffices); the kept set
+    is cross-checked over every prime of an attempt, and every expansion is
+    verified exactly against nums[i] / dens[i].
+
+    With `primes` given, exactly one attempt runs with exactly those primes.
+    Otherwise the attempts climb a ladder: the first 3 primes when any row
+    is flagged (2 when none is), then 5, 8 and 12.  ReconstructionFailure
+    is raised when no attempt yields a verified selection.
+    """
     n, m = nums.shape
     nums = np.ascontiguousarray(nums, dtype=np.int64)
     if dens is None:
         dens = np.ones(n, dtype=np.int64)
-    sweep = _run_pass(nums, dens, np.zeros(n, dtype=bool), p, block)
-    return sweep.r
-
-
-def certified_rank(nums, dens=None, primes=(PRIMES[0], PRIMES[1])):
-    """Rank over Q certified by agreement of independent prime passes."""
-    ranks = {rank_mod(nums, dens, p) for p in primes}
-    if len(ranks) != 1:
-        raise ReconstructionFailure("prime passes disagree on rank")
-    return ranks.pop()
+    if expand_flags is None:
+        expand_flags = np.zeros(n, dtype=bool)
+    if primes is not None:
+        ladder = (tuple(primes),)
+    else:
+        first = 3 if np.any(expand_flags) else 2
+        ladder = tuple(PRIMES[:k] for k in (first, 5, 8, 12))
+    for attempt in ladder:
+        try:
+            kept, expansions = _select_mod(nums, dens, expand_flags, attempt, block)
+        except ReconstructionFailure:
+            continue
+        if _expansions_hold(nums, dens, kept, expansions):
+            return kept, expansions, len(attempt)
+    raise ReconstructionFailure(
+        "no verified selection with up to %d primes" % len(ladder[-1])
+    )

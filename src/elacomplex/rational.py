@@ -2,12 +2,14 @@
 
 gmpy2.mpq is API-compatible with fractions.Fraction for everything we do
 (arithmetic, comparison, numerator/denominator, str) and is several times
-faster, which matters for the identity suite's runtime budget.
+faster, which matters for the identity suite's runtime budget.  gmpy2 is
+optional: without it the same code runs on fractions.Fraction, with
+identical results.
 """
 
 try:
     from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - gmpy2 is a hard dependency
+except ImportError:  # gmpy2 is optional; Fraction gives the same results
     from fractions import Fraction as Q
 
 QZERO = Q(0)

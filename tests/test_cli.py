@@ -1,9 +1,17 @@
+import contextlib
+import dataclasses
+import io
 import json
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elacomplex import cli
+from elacomplex.elasticity_assembly import AssemblyError
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +87,16 @@ def test_complex_output_file(tmp_path, capsys):
     assert code == 0 and out == ""
     report = json.loads(out_path.read_text())
     assert report["results"]["gt"] == "all"
+
+
+def test_complex_assembly_error_is_a_verification_failure(monkeypatch, capsys):
+    def failing_build(p, gt):
+        raise AssemblyError("exact selection failed")
+
+    monkeypatch.setattr(cli, "build_complex", failing_build)
+    code, out, err = run_cli(capsys, "complex", "--p", "4", "--gt", "X0")
+    assert code == 1 and out == ""
+    assert "verification failure" in err
 
 
 def test_complex_degree_too_low(capsys):
@@ -193,6 +211,77 @@ def test_fixture_missing_field(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [[1, 2], "box"],
+    ids=["list", "string"],
+)
+def test_fixture_malformed_document(tmp_path, capsys, data):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "fixture", "--fixture", str(path))
+    assert code == 2
+    assert "config error: invalid fixture" in err
+
+
+def test_fixture_operators_not_numbers(tmp_path, capsys):
+    data = _solid_box_data()
+    data["operators"] = "ab"
+    path = tmp_path / "letters.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "fixture", "--fixture", str(path))
+    assert code == 2
+    assert "config error: invalid fixture" in err
+
+
+_FIXTURE_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.text(max_size=2),
+)
+_FIXTURE_JSON = st.recursive(
+    _FIXTURE_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(
+            st.sampled_from(["dims", "grams", "operators"]), inner, max_size=3
+        ),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fixture_fuzz_never_crashes(data):
+    base = _solid_box_data()
+    doc = data.draw(
+        st.one_of(
+            _FIXTURE_JSON,
+            st.fixed_dictionaries(
+                {key: st.one_of(st.just(base[key]), _FIXTURE_JSON) for key in base}
+            ),
+        )
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["fixture", "--fixture", str(path), "--trials", "1"])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "config error" in err.getvalue()
+
+
+def test_fixture_path_is_a_directory(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "fixture", "--fixture", str(tmp_path))
+    assert code == 2
+    assert "config error" in err
+
+
 def test_fixture_gram_shape_mismatch(tmp_path, capsys):
     data = _solid_box_data()
     data["dims"][0] += 1
@@ -260,3 +349,59 @@ def test_config_rejects_bad_values(capsys):
     code, _, err = run_cli(capsys, "helmholtz", "--p", "4", "--weights", "spooky")
     assert code == 2
     assert "weights must be" in err
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("korn", {"tol": "abc"}),
+        ("korn", {"tol_rank": "x"}),
+        ("korn", {"gt": 5}),
+        ("korn", {"weights": ["a"]}),
+        ("verify-identities", {"only": 5}),
+    ],
+)
+def test_config_value_of_wrong_type(tmp_path, capsys, command, config):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 2
+    assert "config error" in err
+
+
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-10, 10),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+
+
+def _accepts(field, value):
+    """Whether `value` has a type the RunConfig field admits."""
+    if value is None:
+        return field.default is None
+    if isinstance(value, bool):
+        return False
+    if field.type is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, field.type)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_config_fuzz_wrong_types_exit_2(data):
+    field = data.draw(st.sampled_from(dataclasses.fields(cli.RunConfig)))
+    value = data.draw(_JSON_VALUES.filter(lambda v: not _accepts(field, v)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps({field.name: value}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["korn", "--config", str(path)])
+    assert code == 2
+    assert "config error" in err.getvalue()
+    assert "Traceback" not in err.getvalue()

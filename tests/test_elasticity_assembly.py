@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from elacomplex import elasticity_assembly as ea
+from elacomplex import exactlin
 from elacomplex import fa_toolbox as fa
 from elacomplex import poly_calculus as pc
 from elacomplex.poly_calculus import Poly3, PolyMatField, PolyVecField
@@ -275,6 +276,16 @@ def test_face_compatible_rejects_when_no_correction_exists():
     bc = ea.BoundarySelection.parse("X0,X1")
     out = ea._face_compatible_combinations([u], bc)
     assert out == []
+
+
+def test_face_compatible_reconstruction_failure_is_assembly_error(monkeypatch):
+    # u's trace on x=0 equals that of the translation e0, so the selection
+    # must lift a dependency; with reconstruction disabled no rung succeeds.
+    monkeypatch.setattr(exactlin, "rat_reconstruct", lambda a, m: None)
+    x = Poly3.variable(0)
+    u = PolyVecField([Poly3.constant(1) + x, Poly3.zero(), Poly3.zero()])
+    with pytest.raises(ea.AssemblyError):
+        ea._face_compatible_combinations([u], ea.BoundarySelection.parse("X0"))
 
 
 # --- float frames -------------------------------------------------------------

@@ -91,7 +91,7 @@ def test_select_rows_matches_bruteforce_oracle():
         base = rng.integers(-5, 6, size=(10, m))
         mix = rng.integers(-3, 4, size=(n, 10))
         nums = (mix @ base).astype(np.int64)  # rank <= 10 with dependencies
-        kept, _ = xl.select_rows(nums)
+        kept = xl.select_rows(nums)[0]
         assert kept == brute_select(nums)
 
 
@@ -103,7 +103,8 @@ def test_select_rows_expansions_exact():
     nums = (mix @ base).astype(np.int64)
     dens = rng.integers(1, 4, size=n).astype(np.int64)
     flags = np.ones(n, dtype=bool)
-    kept, exps = xl.select_rows(nums, dens, flags, primes=xl.PRIMES[:3])
+    kept, exps, used = xl.select_rows(nums, dens, flags, primes=xl.PRIMES[:3])
+    assert used == 3
     frac_rows = [
         [Fraction(int(x), int(d)) for x in row] for row, d in zip(nums, dens)
     ]
@@ -125,7 +126,7 @@ def test_ranks_certified():
     base = rng.integers(-5, 6, size=(4, 9))
     mix = rng.integers(-3, 4, size=(12, 4))
     nums = (mix @ base).astype(np.int64)
-    r = xl.certified_rank(nums)
+    r = len(xl.select_rows(nums)[0])
     # oracle via exact Fraction elimination
     assert r == len(brute_select(nums))
     assert r <= 4
@@ -133,8 +134,8 @@ def test_ranks_certified():
 
 def test_rank_of_identity_and_zero():
     eye = np.eye(5, dtype=np.int64)
-    assert xl.certified_rank(eye) == 5
-    assert xl.certified_rank(np.zeros((4, 6), dtype=np.int64)) == 0
+    assert len(xl.select_rows(eye)[0]) == 5
+    assert len(xl.select_rows(np.zeros((4, 6), dtype=np.int64))[0]) == 0
 
 
 def test_reconstruction_failure_raises_with_too_few_primes():
@@ -150,8 +151,8 @@ def test_reconstruction_failure_raises_with_too_few_primes():
 def test_blocked_and_unblocked_agree():
     rng = np.random.default_rng(13)
     nums = rng.integers(-9, 10, size=(40, 25)).astype(np.int64)
-    k1, _ = xl.select_rows(nums, block=4)
-    k2, _ = xl.select_rows(nums, block=1000)
+    k1 = xl.select_rows(nums, block=4)[0]
+    k2 = xl.select_rows(nums, block=1000)[0]
     assert k1 == k2
 
 
@@ -184,7 +185,7 @@ def test_select_rows_multiblock_stress_vs_oracle():
         dens.append(den)
         for j, q in enumerate(row):
             nums[i, j] = int(q * den)
-    kept, expans = xl.select_rows(
+    kept, expans, _ = xl.select_rows(
         nums, dens=dens, expand_flags=flags, block=16
     )
     frac_rows = [[Fraction(q.numerator, q.denominator) for q in r] for r in rows]
@@ -196,3 +197,84 @@ def test_select_rows_multiblock_stress_vs_oracle():
                 for c, k in zip(coeffs, kept)
             )
             assert total == frac_rows[idx][j]
+
+
+# --- the prime ladder and the exact check --------------------------------------
+
+# rows 1 and 2 depend on row 0: row 1 = 2 * row 0, row 2 = -1/3 * row 0
+_DEPENDENT_NUMS = np.array([[3, 6, 0], [6, 12, 0], [-3, -6, 0], [0, 1, 1]])
+_DEPENDENT_DENS = [1, 1, 3, 1]
+_DEPENDENT_FLAGS = [True, True, True, False]
+
+
+def _select_dependent(**kwargs):
+    return xl.select_rows(
+        _DEPENDENT_NUMS,
+        dens=_DEPENDENT_DENS,
+        expand_flags=_DEPENDENT_FLAGS,
+        **kwargs,
+    )
+
+
+def _patch_reconstruction(monkeypatch, wrong_attempts, lift):
+    """Replace rat_reconstruct by `lift` during the first `wrong_attempts`
+    selection attempts; count the attempts that reach reconstruction."""
+    real = xl.rat_reconstruct
+    seen = []
+
+    def patched(a, m):
+        if m not in seen:
+            seen.append(m)
+        if len(seen) <= wrong_attempts:
+            return lift(real(a, m))
+        return real(a, m)
+
+    monkeypatch.setattr(xl, "rat_reconstruct", patched)
+    return seen
+
+
+def test_select_rows_first_rung_and_expansions():
+    kept, exps, used = _select_dependent()
+    assert kept == [0, 3]
+    assert exps == {1: [Q(2), Q(0)], 2: [Q(-1, 3), Q(0)]}
+    assert used == 3
+    assert xl.select_rows(_DEPENDENT_NUMS)[2] == 2  # nothing flagged
+
+
+def test_select_rows_ladder_exhausted_raises(monkeypatch):
+    seen = _patch_reconstruction(monkeypatch, 99, lambda q: None)
+    with pytest.raises(xl.ReconstructionFailure):
+        _select_dependent()
+    assert len(seen) == 4  # 3, 5, 8 and 12 primes were all tried
+
+
+def test_select_rows_explicit_primes_make_one_attempt(monkeypatch):
+    seen = _patch_reconstruction(monkeypatch, 99, lambda q: None)
+    with pytest.raises(xl.ReconstructionFailure):
+        _select_dependent(primes=xl.PRIMES[:5])
+    assert len(seen) == 1
+
+
+def test_select_rows_ladder_recovers_from_a_failed_rung(monkeypatch):
+    expected = _select_dependent()[:2]
+    seen = _patch_reconstruction(monkeypatch, 1, lambda q: None)
+    kept, exps, used = _select_dependent()
+    assert (kept, exps) == expected
+    assert used == 5 and len(seen) == 2
+
+
+def test_select_rows_exact_check_rejects_a_wrong_lift(monkeypatch):
+    expected = _select_dependent()[:2]
+    _patch_reconstruction(monkeypatch, 1, lambda q: q + 1)
+    kept, exps, used = _select_dependent()
+    assert (kept, exps) == expected
+    assert used == 5
+    _patch_reconstruction(monkeypatch, 99, lambda q: q + 1)
+    with pytest.raises(xl.ReconstructionFailure):
+        _select_dependent(primes=xl.PRIMES[:3])
+
+
+def test_select_rows_zero_width():
+    nums = np.zeros((3, 0), dtype=np.int64)
+    kept, exps, _ = xl.select_rows(nums, expand_flags=[True] * 3)
+    assert kept == [] and exps == {0: [], 1: [], 2: []}
