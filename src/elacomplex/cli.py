@@ -231,6 +231,29 @@ def _weight_for(cfg, dim, rng):
     return None
 
 
+def _helmholtz_samples(cx, rng, trials, tol):
+    """Helmholtz-split `trials` random level-1 fields drawn from `rng`."""
+    g1 = cx.gram(1)
+    samples = []
+    for i in range(trials):
+        x = rng.standard_normal(g1.dim)
+        h = fa.helmholtz(x, cx, 1, tol=tol)
+        nx = max(g1.norm(x), 1e-300)
+        samples.append(
+            {
+                "sample": i,
+                "residual": g1.norm(x - (h.x_range + h.x_harm + h.x_costar)) / nx,
+                "max_pairing": max(abs(v) for v in h.pairings.values()) / nx**2,
+                "harmonic_norm": g1.norm(h.x_harm),
+            }
+        )
+    return samples
+
+
+def _worst(samples, key):
+    return max((s[key] for s in samples), default=0.0)
+
+
 def cmd_complex(cfg):
     ec = build_complex(cfg.p, cfg.gt)
     rng = np.random.default_rng(cfg.seed)
@@ -240,18 +263,9 @@ def cmd_complex(cfg):
     coh = fa.cohomology(cx, 1, tol=cfg.tol_rank)
     constants = fa.complex_constants(cx, tol=cfg.tol_rank)
     korn = korn_constant(cfg.p, cfg.gt)
-    worst_res, worst_pair = 0.0, 0.0
-    g1 = cx.gram(1)
-    for _ in range(cfg.trials):
-        x = rng.standard_normal(g1.dim)
-        h = fa.helmholtz(x, cx, 1, tol=cfg.tol)
-        nx = max(g1.norm(x), 1e-300)
-        worst_res = max(
-            worst_res, g1.norm(x - (h.x_range + h.x_harm + h.x_costar)) / nx
-        )
-        worst_pair = max(
-            worst_pair, max(abs(v) for v in h.pairings.values()) / nx**2
-        )
+    samples = _helmholtz_samples(cx, rng, cfg.trials, cfg.tol)
+    worst_res = _worst(samples, "residual")
+    worst_pair = _worst(samples, "max_pairing")
     results = {
         "p": cfg.p,
         "gt": BoundarySelection.parse(cfg.gt).label,
@@ -336,13 +350,8 @@ def cmd_fixture(cfg):
     ]
     constants = fa.complex_constants(cx, tol=cfg.tol_rank)
     rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    g1 = cx.gram(1)
-    for _ in range(cfg.trials):
-        x = rng.standard_normal(g1.dim)
-        h = fa.helmholtz(x, cx, 1, tol=cfg.tol)
-        nx = max(g1.norm(x), 1e-300)
-        worst = max(worst, g1.norm(x - (h.x_range + h.x_harm + h.x_costar)) / nx)
+    samples = _helmholtz_samples(cx, rng, cfg.trials, cfg.tol)
+    worst = _worst(samples, "residual")
     results = {
         "fixture": name,
         "dims": cx.dims,
@@ -373,27 +382,14 @@ def cmd_helmholtz(cfg):
     rng = np.random.default_rng(cfg.seed)
     eps = _weight_for(cfg, ec.dims[1], rng)
     cx = ec.finite_complex(g1=eps)
-    g1 = cx.gram(1)
-    samples = []
-    for i in range(cfg.trials):
-        x = rng.standard_normal(g1.dim)
-        h = fa.helmholtz(x, cx, 1, tol=cfg.tol)
-        nx = max(g1.norm(x), 1e-300)
-        samples.append(
-            {
-                "sample": i,
-                "residual": g1.norm(x - (h.x_range + h.x_harm + h.x_costar)) / nx,
-                "max_pairing": max(abs(v) for v in h.pairings.values()) / nx**2,
-                "harmonic_norm": g1.norm(h.x_harm),
-            }
-        )
+    samples = _helmholtz_samples(cx, rng, cfg.trials, cfg.tol)
     results = {
         "p": cfg.p,
         "gt": BoundarySelection.parse(cfg.gt).label,
         "weight_mode": cfg.weights,
         "samples": samples,
-        "max_residual": max(s["residual"] for s in samples),
-        "max_pairing": max(s["max_pairing"] for s in samples),
+        "max_residual": _worst(samples, "residual"),
+        "max_pairing": _worst(samples, "max_pairing"),
     }
     if cfg.format == "csv":
         _emit_csv(

@@ -1115,14 +1115,18 @@ def rigid_motion_coordinates(space):
     return columns
 
 
-def rm_projector(space):
-    """L2-orthogonal projector onto the rigid motions inside a FieldSpace."""
-    columns = rigid_motion_coordinates(space)
-    n = space.dim
-    R = np.zeros((n, 6))
-    for j, col in enumerate(columns):
+def _rigid_motion_matrix(space):
+    """The rigid-motion coordinates as the columns of a float (dim, 6) array."""
+    R = np.zeros((space.dim, 6))
+    for j, col in enumerate(rigid_motion_coordinates(space)):
         for i, q in col.items():
             R[i, j] = float(q)
+    return R
+
+
+def rm_projector(space):
+    """L2-orthogonal projector onto the rigid motions inside a FieldSpace."""
+    R = _rigid_motion_matrix(space)
     g = np.array([float(q) for q in space.gram_diag])
     GR = g[:, None] * R
     M = R.T @ GR
@@ -1182,11 +1186,7 @@ def korn_constant(p, gt="none"):
     restricted = not bc.faces
     if restricted:
         g = fa.InnerProduct(np.diag([float(q) for q in space.gram_diag]))
-        columns = rigid_motion_coordinates(space)
-        R = np.zeros((space.dim, 6))
-        for j, col in enumerate(columns):
-            for i, q in col.items():
-                R[i, j] = float(q)
+        R = _rigid_motion_matrix(space)
         W = fa.kernel_basis(R.T @ g.G, g)
         K = W.T @ K @ W
         M = W.T @ M @ W

@@ -6,9 +6,10 @@ subset of rows in a fixed order (earlier rows win ties) and returns, for
 designated dependent rows, the exact rational expansion over the kept rows
 that precede them.  The number of kept rows is the certified rank.
 
-Everything runs modulo word-sized primes with float64 BLAS matmuls (a
-13-bit limb split keeps every intermediate below 2^53, hence exact), and
-dependent-row expansions are lifted to exact rationals by CRT plus
+Each prime runs one reduced row echelon form of the transposed residue
+matrix in float64 (residues below 2^26 keep every product below 2^53,
+hence exact): its pivot columns are the kept rows and its dependent
+columns the expansions, which are lifted to exact rationals by CRT plus
 rational reconstruction.  Independence mod any prime already certifies
 independence over the rationals; every lifted expansion is then checked
 exactly against its rational row before it is returned, and the prime set
@@ -22,8 +23,9 @@ import numpy as np
 
 from .rational import Q
 
-# primes just below 2^26; small enough for the limb-split matmul,
-# large enough that a random dependency collision is ~2^-26 per prime
+# primes just below 2^26: small enough that p^2 < 2^53, so float64 residue
+# arithmetic is exact; large enough that a random dependency collision is
+# ~2^-26 per prime
 PRIMES = (
     67108859,
     67108837,
@@ -39,24 +41,9 @@ PRIMES = (
     67108709,
 )
 
-_LIMB = 8192.0  # 2^13
-
 
 class ReconstructionFailure(RuntimeError):
     """Rational lift could not be certified with the available primes."""
-
-
-def modmul(A, B, p):
-    """Exact (A @ B) mod p for float64 integer matrices with entries in [0, p).
-
-    Splits A into 13-bit limbs so every BLAS accumulation stays below
-    2^53.  Requires p < 2^26 and inner dimension <= 2^14.
-    """
-    if A.shape[1] > 16384:
-        raise ValueError("inner dimension too large for exact accumulation")
-    hi = np.floor(A / _LIMB)
-    lo = A - hi * _LIMB
-    return np.remainder(np.remainder(hi @ B, p) * _LIMB + lo @ B, p)
 
 
 def mod_rows(nums, dens, p):
@@ -66,112 +53,38 @@ def mod_rows(nums, dens, p):
     return np.remainder(red * inv[:, None], p)
 
 
-class _Pass:
-    """One prime's sweep: row selection + expansions of flagged rows.
+def _select_mod_p(rows, expand_flags, p):
+    """One prime: kept rows and expansions of flagged dependent rows.
 
-    Maintains R = T K in reduced row echelon form, where K holds the kept
-    original rows; the elimination coefficients of a dependent row against
-    R, pushed through T, are its expansion over the kept rows.
+    Reduces M = rows.T (float64 residues in [0, p)) to reduced row echelon
+    form column by column.  The pivot columns are the greedy earliest
+    independent rows.  Row operations preserve column relations, so a
+    dependent column j of the RREF holds its row's expansion over the kept
+    rows (zero on those after j).  Every product of two residues is below
+    p^2 < 2^53, so the float64 arithmetic is exact.
     """
-
-    def __init__(self, m, p, cap):
-        self.m = m
-        self.p = p
-        self.cap = cap
-        self.R = np.zeros((cap, m))
-        self.T = np.zeros((cap, cap))
-        self.r = 0
-        self.pivots = []
-        self.kept = []
-        self.expansions = {}
-
-    def _append_pivot(self, row_index, residual, lam):
-        """Install a new REF row; old rows are cleaned up at block end."""
-        p, r = self.p, self.r
-        k = len(self.kept)
-        lead = int(np.argmax(residual != 0.0))
-        inv = float(pow(int(residual[lead]), -1, p))
-        rho = np.remainder(residual * inv, p)
-        t_new = np.remainder(-lam[: k + 1] * inv, p)
-        t_new[k] = inv
-        self.R[r] = rho
-        self.T[r, : k + 1] = t_new
-        self.r += 1
-        self.pivots.append(lead)
-        self.kept.append(row_index)
-
-    def process_block(self, rows, start, expand_flags):
-        """Feed a block of mod-p rows (float64 in [0, p)), in order.
-
-        Rows are first reduced against the standing RREF in one matmul;
-        pivots found inside the block eliminate forward over the remaining
-        block rows and backward over the block's earlier pivots, and the
-        pre-existing rows are cleaned of all new pivot columns in a single
-        batched matmul at the end, restoring the RREF invariant.
-        """
-        p = self.p
-        b = rows.shape[0]
-        r0 = self.r
-        k0 = len(self.kept)
-        if r0:
-            lam = rows[:, self.pivots].copy()
-            rows = np.remainder(rows - modmul(lam, self.R[:r0], p), p)
-            lam_k = modmul(lam, self.T[:r0, :k0], p)
-        else:
-            rows = rows.copy()
-            lam_k = np.zeros((b, 0))
-        lam_full = np.zeros((b, k0 + b))
-        lam_full[:, :k0] = lam_k
-        for i in range(b):
-            if np.any(rows[i] != 0.0):
-                k = len(self.kept)
-                self._append_pivot(start + i, rows[i], lam_full[i])
-                lead = self.pivots[-1]
-                rho = self.R[self.r - 1]
-                t_new = self.T[self.r - 1, : k + 1]
-                if i + 1 < b:
-                    col = rows[i + 1 :, lead].copy()
-                    rows[i + 1 :] -= col[:, None] * rho[None, :]
-                    np.remainder(rows[i + 1 :], p, out=rows[i + 1 :])
-                    seg = lam_full[i + 1 :, : k + 1]
-                    seg += col[:, None] * t_new[None, :]
-                    np.remainder(seg, p, out=seg)
-                if self.r - 1 > r0:  # clean earlier pivots from this block
-                    sl = slice(r0, self.r - 1)
-                    colb = self.R[sl, lead].copy()
-                    if np.any(colb != 0.0):
-                        self.R[sl] -= colb[:, None] * rho[None, :]
-                        np.remainder(self.R[sl], p, out=self.R[sl])
-                        self.T[sl, : k + 1] -= colb[:, None] * t_new[None, :]
-                        np.remainder(
-                            self.T[sl, : k + 1], p, out=self.T[sl, : k + 1]
-                        )
-            elif expand_flags[i]:
-                self.expansions[start + i] = lam_full[i, : len(self.kept)].copy()
-        t = self.r - r0
-        if r0 and t:
-            k1 = len(self.kept)
-            cols = self.R[:r0, :][:, self.pivots[r0:]].copy()
-            if np.any(cols != 0.0):
-                self.R[:r0] = np.remainder(
-                    self.R[:r0] - modmul(cols, self.R[r0 : self.r], p), p
-                )
-                self.T[:r0, :k1] = np.remainder(
-                    self.T[:r0, :k1]
-                    - modmul(cols, self.T[r0 : self.r, :k1], p),
-                    p,
-                )
-
-
-def _run_pass(nums, dens, expand_flags, p, block):
-    n, m = nums.shape
-    sweep = _Pass(m, p, min(n, m) + 1)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        sweep.process_block(
-            mod_rows(nums[lo:hi], dens[lo:hi], p), lo, expand_flags[lo:hi]
-        )
-    return sweep
+    M = np.ascontiguousarray(rows.T)
+    kept = []
+    for j in range(M.shape[1]):
+        r = len(kept)
+        below = np.flatnonzero(M[r:, j])
+        if below.size == 0:
+            continue
+        lead = r + below[0]
+        if lead != r:
+            M[[r, lead], j:] = M[[lead, r], j:]
+        inv = float(pow(int(M[r, j]), -1, p))
+        M[r, j:] = np.remainder(M[r, j:] * inv, p)
+        hit = np.flatnonzero(M[:, j])
+        hit = hit[hit != r]
+        if hit.size:
+            col = M[hit, j]
+            M[hit, j:] = np.remainder(M[hit, j:] - col[:, None] * M[r, j:], p)
+        kept.append(j)
+    r = len(kept)
+    dependent = np.flatnonzero(expand_flags)
+    dependent = dependent[~np.isin(dependent, kept)]
+    return kept, {int(j): M[:r, j] for j in dependent}
 
 
 def crt_int(residues, primes):
@@ -205,20 +118,18 @@ def rat_reconstruct(a, m):
     return Q(r1, s1)
 
 
-def _select_mod(nums, dens, expand_flags, primes, block):
-    """One attempt: a pass per prime, agreeing kept sets, lifted expansions."""
-    passes = [_run_pass(nums, dens, expand_flags, p, block) for p in primes]
-    kept = passes[0].kept
-    for sweep in passes[1:]:
-        if sweep.kept != kept:
-            raise ReconstructionFailure("prime passes disagree on the kept set")
+def _select_mod(nums, dens, expand_flags, primes):
+    """One attempt: an RREF per prime, agreeing kept sets, lifted expansions."""
+    passes = [
+        _select_mod_p(mod_rows(nums, dens, p), expand_flags, p) for p in primes
+    ]
+    kept, first = passes[0]
+    if any(other != kept for other, _ in passes[1:]):
+        raise ReconstructionFailure("prime passes disagree on the kept set")
     expansions = {}
-    for idx in passes[0].expansions:
-        vecs = [sw.expansions[idx] for sw in passes]
-        width = max(v.shape[0] for v in vecs)
+    for idx in first:
         lifted = []
-        for j in range(width):
-            residues = [int(v[j]) if j < v.shape[0] else 0 for v in vecs]
+        for residues in zip(*(exps[idx] for _, exps in passes)):
             a, mod = crt_int(residues, primes)
             q = rat_reconstruct(a % mod, mod)
             if q is None:
@@ -226,7 +137,6 @@ def _select_mod(nums, dens, expand_flags, primes, block):
                     "rational reconstruction failed at row %d" % idx
                 )
             lifted.append(q)
-        lifted += [Q(0)] * (len(kept) - width)
         expansions[idx] = lifted
     return kept, expansions
 
@@ -246,7 +156,7 @@ def _expansions_hold(nums, dens, kept, expansions):
     return True
 
 
-def select_rows(nums, dens=None, expand_flags=None, primes=None, block=128):
+def select_rows(nums, dens=None, expand_flags=None, primes=None):
     """Select a maximal independent row subset, in order, with exact lifts.
 
     nums: (n, m) int64 numerators; dens: (n,) integer denominators.
@@ -279,7 +189,7 @@ def select_rows(nums, dens=None, expand_flags=None, primes=None, block=128):
         ladder = tuple(PRIMES[:k] for k in (first, 5, 8, 12))
     for attempt in ladder:
         try:
-            kept, expansions = _select_mod(nums, dens, expand_flags, attempt, block)
+            kept, expansions = _select_mod(nums, dens, expand_flags, attempt)
         except ReconstructionFailure:
             continue
         if _expansions_hold(nums, dens, kept, expansions):

@@ -126,6 +126,16 @@ def test_helmholtz_samples(capsys):
     assert res["max_pairing"] <= 1e-10
 
 
+def test_helmholtz_zero_trials(capsys):
+    code, out, err = run_cli(
+        capsys, "helmholtz", "--p", "4", "--gt", "all", "--trials", "0"
+    )
+    assert code == 0, err
+    res = json.loads(out)["results"]
+    assert res["samples"] == []
+    assert res["max_residual"] == 0.0 and res["max_pairing"] == 0.0
+
+
 def test_helmholtz_random_weights(capsys):
     code1, out1, _ = run_cli(
         capsys, "helmholtz", "--p", "4", "--gt", "X0", "--trials", "2",

@@ -34,18 +34,6 @@ def brute_select(rows):
     return kept
 
 
-def test_modmul_exact_against_python_ints():
-    rng = np.random.default_rng(0)
-    p = xl.PRIMES[0]
-    A = rng.integers(0, p, size=(37, 23)).astype(np.float64)
-    B = rng.integers(0, p, size=(23, 31)).astype(np.float64)
-    C = xl.modmul(A, B, p)
-    Ai = A.astype(object).astype(int)
-    Bi = B.astype(object).astype(int)
-    expected = (np.array(Ai) @ np.array(Bi)) % p
-    assert np.array_equal(C.astype(int), expected.astype(int))
-
-
 def test_primes_are_prime_and_in_range():
     def is_prime(n):
         if n % 2 == 0:
@@ -148,12 +136,68 @@ def test_reconstruction_failure_raises_with_too_few_primes():
     assert q is None or q != Q(big_num, big_den)
 
 
-def test_blocked_and_unblocked_agree():
-    rng = np.random.default_rng(13)
-    nums = rng.integers(-9, 10, size=(40, 25)).astype(np.int64)
-    k1 = xl.select_rows(nums, block=4)[0]
-    k2 = xl.select_rows(nums, block=1000)[0]
-    assert k1 == k2
+def _frac_rows(nums, dens):
+    return [[Fraction(int(x), int(d)) for x in row] for row, d in zip(nums, dens)]
+
+
+def _low_rank(seed, n, m, rank):
+    rng = np.random.default_rng(seed)
+    base = rng.integers(-5, 6, size=(rank, m))
+    mix = rng.integers(-3, 4, size=(n, rank))
+    dens = rng.integers(1, 5, size=n)
+    return mix @ base, dens
+
+
+def _zero_and_duplicate_rows():
+    nums, dens = _low_rank(5, 6, 9, 4)
+    zero = np.zeros(9, dtype=np.int64)
+    rows = [zero, nums[0], nums[0], zero, nums[1], 3 * nums[0], nums[2]]
+    rows += [zero, nums[1], nums[3], nums[4], zero, nums[5], nums[2]]
+    return np.array(rows), np.arange(1, len(rows) + 1)
+
+
+def _pivot_below_current_row():
+    # the first rows open with zeros, so their leading entry lies below the
+    # next pivot position of the transposed matrix and forces a row swap
+    nums = np.array(
+        [
+            [0, 0, 2, 1, 0],
+            [0, 3, 0, 0, 1],
+            [0, 0, 4, 2, 0],
+            [5, 0, 0, 0, 0],
+            [0, 0, 0, 0, 7],
+            [5, 3, 2, 1, 1],
+            [0, 6, 2, 1, 2],
+        ]
+    )
+    return nums, np.array([1, 2, 3, 1, 2, 3, 1])
+
+
+_ORACLE_CASES = {
+    "tall": lambda: _low_rank(21, 30, 6, 6),
+    "wide": lambda: _low_rank(22, 8, 30, 5),
+    "zero_and_duplicate_rows": _zero_and_duplicate_rows,
+    "pivot_below_current_row": _pivot_below_current_row,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_select_rows_oracle_cases(case):
+    nums, dens = _ORACLE_CASES[case]()
+    n, m = nums.shape
+    kept, exps, _ = xl.select_rows(nums, dens, np.ones(n, dtype=bool))
+    rows = _frac_rows(nums, dens)
+    assert kept == brute_select(rows)
+    assert sorted(exps) == sorted(set(range(n)) - set(kept))
+    for idx, coeffs in exps.items():
+        assert len(coeffs) == len(kept)
+        assert all(c == 0 for c, k in zip(coeffs, kept) if k > idx)
+        for j in range(m):
+            total = sum(
+                Fraction(c.numerator, c.denominator) * rows[k][j]
+                for c, k in zip(coeffs, kept)
+            )
+            assert total == rows[idx][j]
 
 
 def test_select_rows_multiblock_stress_vs_oracle():
@@ -185,9 +229,7 @@ def test_select_rows_multiblock_stress_vs_oracle():
         dens.append(den)
         for j, q in enumerate(row):
             nums[i, j] = int(q * den)
-    kept, expans, _ = xl.select_rows(
-        nums, dens=dens, expand_flags=flags, block=16
-    )
+    kept, expans, _ = xl.select_rows(nums, dens=dens, expand_flags=flags)
     frac_rows = [[Fraction(q.numerator, q.denominator) for q in r] for r in rows]
     assert kept == brute_select(frac_rows)
     for idx, coeffs in expans.items():
