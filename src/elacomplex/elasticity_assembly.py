@@ -14,6 +14,15 @@ image is either a basis vector of the next level or an exactly verified
 rational combination of earlier image basis vectors.  As a consequence the
 compositions A1*A0 and A2*A1 vanish identically at the rational stage.
 
+Candidate fields travel through the chain as integer rows: int64
+coefficients on the ambient monomial grid with one denominator per row.
+Each chain operator is an integer matrix on that grid, derived once per
+grid size by applying the `poly_calculus` operator to every unit monomial
+field, so a level's images are one integer product with the previous
+level's rows (guarded against int64 overflow), each reduced to its least
+common denominator.  Exact rational coordinates and polynomial fields are
+built only for the rows a level keeps.
+
 Linear independence of the candidate fields is decided by one call,
 `exactlin.select_rows`: modular echelon elimination with rational
 reconstruction, which checks every dependency it reports by exact rational
@@ -23,8 +32,10 @@ dimensions, cohomology dimensions) are therefore certified, not merely
 floating-point estimates.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh
@@ -191,7 +202,9 @@ class FieldSpace:
 
     Fields are ordered component-major: all fields supported on component 0
     first, each block running lexicographically over the univariate factor
-    indices (i, j, k) for the x/y/z directions.
+    indices (i, j, k) for the x/y/z directions.  Field number
+    (comp, i, j, k) is factors[0][i](x) factors[1][j](y) factors[2][k](z)
+    on component `comp`; the exact polynomial fields are built on first use.
     """
 
     kind: str
@@ -201,12 +214,30 @@ class FieldSpace:
     counts: tuple
     factors: tuple
     factor_norms: tuple
-    fields: tuple
     gram_diag: tuple
 
     @property
     def dim(self):
-        return len(self.fields)
+        return len(self.gram_diag)
+
+    @cached_property
+    def fields(self):
+        fields = []
+        for comp in range(_KIND_COMPONENTS[self.kind]):
+            for fx, fy, fz in itertools.product(*self.factors):
+                terms = {}
+                for a, ca in enumerate(fx):
+                    if ca == 0:
+                        continue
+                    for b, cb in enumerate(fy):
+                        if cb == 0:
+                            continue
+                        for c, cc in enumerate(fz):
+                            if cc == 0:
+                                continue
+                            terms[(a, b, c)] = Q(ca * cb * cc)
+                fields.append(_component_field(self.kind, comp, Poly3(terms)))
+        return tuple(fields)
 
 
 def _component_field(kind, comp, poly):
@@ -234,27 +265,11 @@ def _space_from_degrees(kind, degrees, bc, vanish_order):
         factors.append(coeffs)
         factor_norms.append(norms)
         counts.append(len(coeffs))
-    ncomp = _KIND_COMPONENTS[kind]
-    weights = _KIND_WEIGHTS[kind]
-    fields = []
-    gram_diag = []
-    for comp in range(ncomp):
-        for fx, gx in zip(factors[0], factor_norms[0]):
-            for fy, gy in zip(factors[1], factor_norms[1]):
-                for fz, gz in zip(factors[2], factor_norms[2]):
-                    terms = {}
-                    for a, ca in enumerate(fx):
-                        if ca == 0:
-                            continue
-                        for b, cb in enumerate(fy):
-                            if cb == 0:
-                                continue
-                            for c, cc in enumerate(fz):
-                                if cc == 0:
-                                    continue
-                                terms[(a, b, c)] = Q(ca * cb * cc)
-                    fields.append(_component_field(kind, comp, Poly3(terms)))
-                    gram_diag.append(weights[comp] * gx * gy * gz)
+    gram_diag = [
+        w * gx * gy * gz
+        for w in _KIND_WEIGHTS[kind]
+        for gx, gy, gz in itertools.product(*factor_norms)
+    ]
     return FieldSpace(
         kind=kind,
         degree=max(degrees),
@@ -263,7 +278,6 @@ def _space_from_degrees(kind, degrees, bc, vanish_order):
         counts=tuple(counts),
         factors=tuple(factors),
         factor_norms=tuple(factor_norms),
-        fields=tuple(fields),
         gram_diag=tuple(gram_diag),
     )
 
@@ -349,6 +363,143 @@ def _integer_rows(coord_dicts, width):
     return nums, dens
 
 
+def _field_from_coords(coords, kind, nvar):
+    """The vector or symmetric-tensor field with exact coordinates `coords`;
+    the inverse of _exact_coords."""
+    grid = nvar * nvar * nvar
+    terms = [{} for _ in range(_KIND_COMPONENTS[kind])]
+    for j, q in coords.items():
+        comp, m = divmod(j, grid)
+        a, m = divmod(m, nvar * nvar)
+        b, c = divmod(m, nvar)
+        terms[comp][(a, b, c)] = q
+    polys = [Poly3(t) for t in terms]
+    if kind == "vector":
+        return PolyVecField(polys)
+    entries = [None] * 9
+    for poly, (i, j) in zip(polys, _SYM_ENTRIES):
+        entries[3 * i + j] = entries[3 * j + i] = poly
+    return PolyMatField(entries)
+
+
+def _space_rows(space, nvar):
+    """Integer coordinate rows of a FieldSpace's fields on the nvar grid.
+
+    A field is a product of integer univariate factors on one component, so
+    its row is a Kronecker product of factor coefficient vectors.
+    """
+    bound = 1
+    mats = []
+    for coeffs in space.factors:
+        M = np.zeros((len(coeffs), nvar), dtype=np.int64)
+        for k, f in enumerate(coeffs):
+            if any(f[nvar:]):
+                raise AssemblyError(
+                    "field exceeds the ambient degree bound %d" % (nvar - 1)
+                )
+            M[k, : len(f)] = f[:nvar]
+        bound *= max((abs(c) for f in coeffs for c in f), default=0)
+        mats.append(M)
+    if bound >= _COORD_LIMIT:
+        raise AssemblyError("coordinate numerator exceeds 62 bits")
+    block = np.kron(np.kron(mats[0], mats[1]), mats[2])
+    ncomp = _KIND_COMPONENTS[space.kind]
+    rows = np.zeros((ncomp * block.shape[0], ncomp * nvar**3), dtype=np.int64)
+    for comp in range(ncomp):
+        rows[
+            comp * block.shape[0] : (comp + 1) * block.shape[0],
+            comp * nvar**3 : (comp + 1) * nvar**3,
+        ] = block
+    return rows
+
+
+_OPERATORS = {
+    "sym_grad": "symmetric-tensor",
+    "rotrot_t": "symmetric-tensor",
+    "Div": "vector",
+}
+_OPERATOR_CACHE = {}
+
+
+def _operator_matrix(name, in_kind, nvar):
+    """A chain operator on the nvar monomial grid: (rows, vals, den, l1).
+
+    The operator maps the field with coordinate row x to the field with
+    coordinates x @ D / den, where row r of the integer matrix D holds den
+    times the coordinates of the operator applied to the r-th unit monomial
+    field of `in_kind`; so D is derived from `poly_calculus`, which stays
+    the one definition of the operators.  D is sparse and stored by columns,
+    padded to the longest: column j holds vals[t, j] in row rows[t, j].
+    `l1` is the largest column L1 norm of D.
+    """
+    key = (name, in_kind, nvar)
+    hit = _OPERATOR_CACHE.get(key)
+    if hit is not None:
+        return hit
+    op = getattr(pc, name)
+    images = [
+        _exact_coords(
+            op(_component_field(in_kind, comp, Poly3.monomial(a, b, c))),
+            _OPERATORS[name],
+            nvar,
+        )
+        for comp in range(_KIND_COMPONENTS[in_kind])
+        for a, b, c in itertools.product(range(nvar), repeat=3)
+    ]
+    den = math.lcm(*(int(q.denominator) for img in images for q in img.values()))
+    columns = [[] for _ in range(_KIND_COMPONENTS[_OPERATORS[name]] * nvar**3)]
+    for r, img in enumerate(images):
+        for j, q in img.items():
+            columns[j].append((r, int(q * den)))
+    rows = np.zeros((max(map(len, columns)), len(columns)), dtype=np.intp)
+    vals = np.zeros(rows.shape, dtype=np.int64)
+    for j, col in enumerate(columns):
+        for t, (r, v) in enumerate(col):
+            rows[t, j] = r
+            vals[t, j] = v
+    l1 = int(np.abs(vals).sum(axis=0).max())
+    rows.flags.writeable = vals.flags.writeable = False  # shared by every caller
+    _OPERATOR_CACHE[key] = (rows, vals, den, l1)
+    return rows, vals, den, l1
+
+
+def _grid_columns(ncomp, nvar, big):
+    """Flat indices of the nvar-grid coordinates within the big grid."""
+    a = np.arange(nvar)
+    mono = ((a[:, None, None] * big + a[None, :, None]) * big + a).ravel()
+    return (np.arange(ncomp)[:, None] * big**3 + mono).ravel()
+
+
+def _images(nums, dens, name, in_kind, nvar_in, nvar):
+    """Exact image rows of the fields nums[i] / dens[i] on the nvar grid.
+
+    One integer product with the operator matrix, after a check that no
+    partial sum can reach 2^62; each image row is then reduced to its least
+    common denominator, which is the form `_integer_rows` gives.  Zero
+    images come back as zero rows.
+    """
+    rows, vals, den, l1 = _operator_matrix(name, in_kind, nvar_in)
+    if nums.size and (
+        int(np.abs(nums).max()) * l1 >= _COORD_LIMIT
+        or int(dens.max()) * den >= _COORD_LIMIT
+    ):
+        raise AssemblyError("%s image coordinates exceed 62 bits" % name)
+    out = np.zeros((len(nums), vals.shape[1]), dtype=np.int64)
+    for r, v in zip(rows, vals):
+        out += nums[:, r] * v
+    if nvar_in > nvar:
+        inside = _grid_columns(_KIND_COMPONENTS[_OPERATORS[name]], nvar, nvar_in)
+        if np.count_nonzero(out) != np.count_nonzero(out[:, inside]):
+            raise AssemblyError(
+                "field exceeds the ambient degree bound %d" % (nvar - 1)
+            )
+        out = out[:, inside]
+    out_dens = dens * den
+    g = np.gcd(np.gcd.reduce(out, axis=1), out_dens)
+    out //= g[:, None]
+    return out, out_dens // g
+
+
 _LEGENDRE_CACHE = {}
 
 
@@ -387,25 +538,20 @@ def _legendre_frame(nvar):
     return W
 
 
-def _orthoframe_rows(coord_dicts, ncomp, nvar, weights):
+def _orthoframe_rows(X, ncomp, nvar, weights):
     """Field coordinates in an L2-orthonormal ambient frame (float64 rows).
 
-    The frame is the tensor product of scaled Legendre polynomials with the
-    component weights folded in, so the L2 Gram of the fields is B @ B.T
-    for the returned B.  Entries of B are bounded by the field norms, hence
-    that product carries no cancellation beyond ordinary rounding; the
-    conversion itself runs in extended precision from the exact rational
-    coordinates.
+    `X` holds the monomial-grid coordinates of one field per row in extended
+    precision.  The frame is the tensor product of scaled Legendre
+    polynomials with the component weights folded in, so the L2 Gram of the
+    fields is B @ B.T for the returned B.  Entries of B are bounded by the
+    field norms, hence that product carries no cancellation beyond ordinary
+    rounding; the change of frame itself runs in extended precision.
     """
-    K = len(coord_dicts)
+    K = X.shape[0]
     if K == 0:
         return np.zeros((0, ncomp * nvar**3))
     W = _legendre_frame(nvar)
-    X = np.zeros((K, ncomp * nvar**3), dtype=np.longdouble)
-    for i, coords in enumerate(coord_dicts):
-        row = X[i]
-        for j, q in coords.items():
-            row[j] = np.longdouble(q.numerator) / np.longdouble(q.denominator)
     Z = X.reshape(K, ncomp, nvar, nvar, nvar)
     for axis in (2, 3, 4):
         Z = np.moveaxis(np.tensordot(Z, W, axes=([axis], [1])), -1, axis)
@@ -416,14 +562,33 @@ def _orthoframe_rows(coord_dicts, ncomp, nvar, weights):
 
 def _float_gram(coord_dicts, ncomp, nvar, weights):
     """L2 Gram of fields given by exact coordinate dictionaries."""
-    B = _orthoframe_rows(coord_dicts, ncomp, nvar, weights)
+    X = np.zeros((len(coord_dicts), ncomp * nvar**3), dtype=np.longdouble)
+    for i, coords in enumerate(coord_dicts):
+        row = X[i]
+        for j, q in coords.items():
+            row[j] = np.longdouble(q.numerator) / np.longdouble(q.denominator)
+    B = _orthoframe_rows(X, ncomp, nvar, weights)
     G = B @ B.T
     return 0.5 * (G + G.T)
 
 
-def _l2_norms(coord_dicts, ncomp, nvar, weights):
-    B = _orthoframe_rows(coord_dicts, ncomp, nvar, weights)
-    return np.linalg.norm(B, axis=1)
+_NORM_BLOCK = 64
+
+
+def _l2_norms(kind, nums, dens, nvar):
+    """L2 norms of the fields nums[i] / dens[i].
+
+    Each coordinate is the correctly rounded quotient of its exact integer
+    numerator and denominator in extended precision.  Rows go through the
+    frame change in blocks, which bounds its extended-precision memory.
+    """
+    norms = []
+    for i in range(0, max(len(nums), 1), _NORM_BLOCK):
+        X = nums[i : i + _NORM_BLOCK].astype(np.longdouble)
+        X /= dens[i : i + _NORM_BLOCK].astype(np.longdouble)[:, None]
+        B = _orthoframe_rows(X, _KIND_COMPONENTS[kind], nvar, _KIND_WEIGHTS[kind])
+        norms.append(np.linalg.norm(B, axis=1))
+    return np.concatenate(norms)
 
 
 def _pow2(k):
@@ -505,76 +670,81 @@ class ComplexLevel:
         return len(self.fields)
 
 
-def _select_exact(coord_dicts, flags, width):
-    """Certified row selection on exact coordinate dictionaries."""
-    nums, dens = _integer_rows(coord_dicts, width)
+def _select_exact(nums, dens, flags):
+    """Certified row selection on integer rows nums[i] / dens[i]."""
     try:
         return exactlin.select_rows(nums, dens=dens, expand_flags=flags)
     except exactlin.ReconstructionFailure as exc:
         raise AssemblyError("exact selection failed: %s" % exc)
 
 
-def _normalized_level(kind, cand_fields, cand_coords, kept, provenance, nvar):
-    """Scale each kept candidate by a power of two to unit-size L2 norm."""
-    ncomp = _KIND_COMPONENTS[kind]
-    weights = _KIND_WEIGHTS[kind]
-    kept_coords = [cand_coords[i] for i in kept]
-    norms = _l2_norms(kept_coords, ncomp, nvar, weights)
-    fields = []
+def _normalized_level(kind, nums, dens, provenance, nvar):
+    """Build a level from integer rows, each scaled by a power of two to a
+    unit-size L2 norm.
+
+    Row i is the field nums[i] / dens[i] on the nvar grid.  Returns (level,
+    scales, rows): the level's field i is row i divided by scales[i], and
+    `rows` holds those scaled fields as least-denominator integer rows.
+    Exact coordinates and fields are built for these rows only.
+    """
+    norms = _l2_norms(kind, nums, dens, nvar)
+    ks = np.array(
+        [int(round(math.log2(n))) if n > 0 else 0 for n in norms], dtype=np.int64
+    )
+    up, down = np.maximum(-ks, 0), np.maximum(ks, 0)
+    if np.any(np.abs(nums).max(axis=1) >= _COORD_LIMIT >> up) or np.any(
+        dens >= _COORD_LIMIT >> down
+    ):
+        raise AssemblyError("scaled coordinates exceed 62 bits")
+    nums = nums << up[:, None]
+    dens = dens << down
+    g = np.gcd(np.gcd.reduce(nums, axis=1), dens)
+    nums //= g[:, None]
+    dens //= g
     coords = []
-    scales = []
-    for pos, idx in enumerate(kept):
-        k = int(round(math.log2(norms[pos]))) if norms[pos] > 0 else 0
-        scale = _pow2(k)
-        inv = _pow2(-k)
-        fields.append(cand_fields[idx].scale(inv) if k else cand_fields[idx])
+    for row, den in zip(nums, dens.tolist()):
+        nz = np.flatnonzero(row)
         coords.append(
-            {j: q * inv for j, q in cand_coords[idx].items()} if k
-            else cand_coords[idx]
+            {j: Q(v, den) for j, v in zip(nz.tolist(), row[nz].tolist())}
         )
-        scales.append(scale)
     level = ComplexLevel(
         kind=kind,
-        fields=tuple(fields),
-        provenance=tuple(provenance[i] for i in kept),
+        fields=tuple(_field_from_coords(c, kind, nvar) for c in coords),
+        provenance=tuple(provenance),
         coords=tuple(coords),
         nvar=nvar,
     )
-    return level, scales
+    return level, [_pow2(k) for k in ks.tolist()], (nums, dens)
 
 
-def _assemble_level(prev_level, op_fun, op_name, out_kind, generators, nvar):
+def _assemble_level(prev_level, prev_rows, op_name, generators, nvar):
     """Build the next level from operator images plus generator fields.
 
-    Returns (level, operator, stats): `level` spans the images of the
-    previous level's basis together with the generators; `operator` is the
-    exact matrix of the operator from the previous level into the new basis.
+    `prev_rows` are the previous level's fields as integer rows.  Returns
+    (level, operator, stats, rows): `level` spans the images of the previous
+    level's basis together with the generators; `operator` is the exact
+    matrix of the operator from the previous level into the new basis;
+    `rows` are the new level's fields as integer rows.
     """
-    ncomp = _KIND_COMPONENTS[out_kind]
-    width = ncomp * nvar**3
-    images = [op_fun(f) for f in prev_level.fields]
-    cand_fields = []
-    cand_coords = []
-    provenance = []
-    flags = []
-    image_slot = {}
-    for i, image in enumerate(images):
-        if image.is_zero():
-            continue
-        image_slot[i] = len(cand_fields)
-        cand_fields.append(image)
-        cand_coords.append(_exact_coords(image, out_kind, nvar))
-        provenance.append(("image", i))
-        flags.append(True)
-    for g, gen in enumerate(generators.fields):
-        cand_fields.append(gen)
-        cand_coords.append(_exact_coords(gen, out_kind, nvar))
-        provenance.append(("generator", g))
-        flags.append(False)
-    kept, expansions, nprimes = _select_exact(cand_coords, flags, width)
-    level, scales = _normalized_level(
-        out_kind, cand_fields, cand_coords, kept, provenance, nvar
+    nums, dens = _images(
+        *prev_rows, op_name, prev_level.kind, prev_level.nvar, nvar
     )
+    nonzero = np.flatnonzero(nums.any(axis=1)).tolist()
+    cand_nums = np.vstack([nums[nonzero], _space_rows(generators, nvar)])
+    cand_dens = np.ones(len(cand_nums), dtype=np.int64)
+    cand_dens[: len(nonzero)] = dens[nonzero]
+    provenance = [("image", i) for i in nonzero]
+    provenance += [("generator", g) for g in range(generators.dim)]
+    flags = np.arange(len(provenance)) < len(nonzero)
+    kept, expansions, nprimes = _select_exact(cand_nums, cand_dens, flags)
+    level, scales, rows = _normalized_level(
+        _OPERATORS[op_name],
+        cand_nums[kept],
+        cand_dens[kept],
+        [provenance[i] for i in kept],
+        nvar,
+    )
+    image_slot = {i: slot for slot, i in enumerate(nonzero)}
     position = {idx: pos for pos, idx in enumerate(kept)}
     cols = []
     for i in range(prev_level.dim):
@@ -595,8 +765,8 @@ def _assemble_level(prev_level, op_fun, op_name, out_kind, generators, nvar):
     operator = ExactOperator(level.dim, prev_level.dim, cols)
     stats = {
         "operator": op_name,
-        "zero_images": prev_level.dim - len(image_slot),
-        "nonzero_images": len(image_slot),
+        "zero_images": prev_level.dim - len(nonzero),
+        "nonzero_images": len(nonzero),
         "kept_images": sum(1 for i in kept if provenance[i][0] == "image"),
         "dependent_images": len(expansions),
         "generators": generators.dim,
@@ -605,7 +775,7 @@ def _assemble_level(prev_level, op_fun, op_name, out_kind, generators, nvar):
         ),
         "primes_used": nprimes,
     }
-    return level, operator, stats
+    return level, operator, stats, rows
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +905,9 @@ def _face_compatible_combinations(potentials, bc):
         {column[key]: coeff for key, coeff in coords.items()} for coords in keyed
     ]
     width = len(column)
-    kept, expansions, _ = _select_exact(coord_dicts, [True] * len(cands), width)
+    kept, expansions, _ = _select_exact(
+        *_integer_rows(coord_dicts, width), [True] * len(cands)
+    )
     m = len(potentials)
     out = []
     for j, coeffs in sorted(expansions.items()):
@@ -863,42 +1035,42 @@ def _assemble_chain(p, bc, extras):
     """One assembly pass; `extras` are additional exact V0 fields."""
     nvar = p + 1
     v0 = build_space("vector", p, bc, 1)
-    fields0 = list(v0.fields) + list(extras)
     nvar0 = nvar
     for f in extras:
         for poly in _field_components(f, "vector"):
             for (a, b, c) in poly.terms:
                 nvar0 = max(nvar0, a + 1, b + 1, c + 1)
-    coords0 = [_exact_coords(f, "vector", nvar0) for f in fields0]
-    level0, _ = _normalized_level(
-        "vector",
-        fields0,
-        coords0,
-        list(range(len(fields0))),
-        [("generator", g) for g in range(len(fields0))],
-        nvar0,
+    nums = _space_rows(v0, nvar0)
+    dens = np.ones(len(nums), dtype=np.int64)
+    if extras:
+        extra_nums, extra_dens = _integer_rows(
+            [_exact_coords(f, "vector", nvar0) for f in extras], 3 * nvar0**3
+        )
+        if max(extra_dens) >= _COORD_LIMIT:
+            raise AssemblyError("coordinate denominator exceeds 62 bits")
+        nums = np.vstack([nums, extra_nums])
+        dens = np.concatenate([dens, np.array(extra_dens, dtype=np.int64)])
+    level0, _, rows = _normalized_level(
+        "vector", nums, dens, [("generator", g) for g in range(len(nums))], nvar0
     )
-    level1, a0, s0 = _assemble_level(
+    level1, a0, s0, rows = _assemble_level(
         level0,
-        pc.sym_grad,
+        rows,
         "sym_grad",
-        "symmetric-tensor",
         _generator_space("symmetric-tensor", p - 1, bc, 2),
         nvar,
     )
-    level2, a1, s1 = _assemble_level(
+    level2, a1, s1, rows = _assemble_level(
         level1,
-        pc.rotrot_t,
+        rows,
         "rotrot_t",
-        "symmetric-tensor",
         _generator_space("symmetric-tensor", p - 3, bc, 1),
         nvar,
     )
-    level3, a2, s2 = _assemble_level(
+    level3, a2, s2, _ = _assemble_level(
         level2,
-        pc.Div,
+        rows,
         "Div",
-        "vector",
         _generator_space("vector", p - 4, bc, 0),
         nvar,
     )
@@ -930,7 +1102,7 @@ def _kernel_overflow_fields(ec):
         return []
     columns = [a1.column(pos) for pos in gen_pos]
     kept, expansions, _ = _select_exact(
-        columns, [True] * len(gen_pos), ec.levels[2].dim
+        *_integer_rows(columns, ec.levels[2].dim), [True] * len(gen_pos)
     )
     fields = []
     for j, coeffs in sorted(expansions.items()):
@@ -961,8 +1133,11 @@ def build_complex(p, gt="none", use_cache=True):
     that the boundary conditions admit (up to rigid-motion corrections) is
     adjoined to V0 and the chain is reassembled, so the level-1 cohomology
     dimension reflects the geometry rather than a degree-truncation
-    artifact.  V1..V3 are unchanged by the enlargement (the new images
-    already lie in the generator span).
+    artifact.  The new images already lie in the generator span, so the
+    enlargement leaves the dimensions and spans of V1..V3 unchanged, but not
+    their bases: the images now come first among the candidates and take
+    the place of generators (for p=4 and X0 the kept V1 generators drop
+    from 140 to 138), and the provenance of V2 changes with them.
     """
     bc = BoundarySelection.parse(gt)
     if p < 4:

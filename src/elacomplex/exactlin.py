@@ -171,22 +171,26 @@ def select_rows(nums, dens=None, expand_flags=None, primes=None):
     is cross-checked over every prime of an attempt, and every expansion is
     verified exactly against nums[i] / dens[i].
 
-    With `primes` given, exactly one attempt runs with exactly those primes.
-    Otherwise the attempts climb a ladder: the first 3 primes when any row
-    is flagged (2 when none is), then 5, 8 and 12.  ReconstructionFailure
-    is raised when no attempt yields a verified selection.
+    With `primes` given, exactly one attempt runs with exactly those primes;
+    a prime that divides a denominator raises ReconstructionFailure.
+    Otherwise the attempts climb a ladder over the primes of PRIMES that
+    divide no denominator: the first 3 when any row is flagged (2 when none
+    is), then 5, 8 and 12.  ReconstructionFailure is raised when no attempt
+    yields a verified selection.
     """
     n, m = nums.shape
     nums = np.ascontiguousarray(nums, dtype=np.int64)
-    if dens is None:
-        dens = np.ones(n, dtype=np.int64)
+    dens = np.ones(n, dtype=np.int64) if dens is None else np.asarray(dens)
     if expand_flags is None:
         expand_flags = np.zeros(n, dtype=bool)
     if primes is not None:
+        if any(np.any(dens % p == 0) for p in primes):
+            raise ReconstructionFailure("a prime divides a row denominator")
         ladder = (tuple(primes),)
     else:
+        usable = [p for p in PRIMES if np.all(dens % p)]
         first = 3 if np.any(expand_flags) else 2
-        ladder = tuple(PRIMES[:k] for k in (first, 5, 8, 12))
+        ladder = tuple(tuple(usable[:k]) for k in (first, 5, 8, 12))
     for attempt in ladder:
         try:
             kept, expansions = _select_mod(nums, dens, expand_flags, attempt)

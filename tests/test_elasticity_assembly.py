@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -366,18 +367,107 @@ def test_enlargement_bookkeeping(complexes_p4):
     assert complexes_p4["X0,X1"].meta["potentials_added"] == 0
 
 
+_CHAIN_OPS = (pc.sym_grad, pc.rotrot_t, pc.Div)
+
+
 def test_operator_columns_reconstruct_images_exactly(complexes_p4):
-    ec = complexes_p4["X0"]
-    level0, level1 = ec.levels[0], ec.levels[1]
-    op = ec.ops[0]
-    assert op.nrows == level1.dim and op.ncols == level0.dim
-    rng = np.random.default_rng(5)
-    for j in map(int, rng.choice(level0.dim, size=6, replace=False)):
-        S = pc.sym_grad(level0.fields[j])
-        acc = S
-        for r, qv in op.column(j).items():
-            acc = acc - level1.fields[r].scale(qv)
-        assert acc.is_zero()
+    # every column of all three operators; X0 carries the extra V0 fields of
+    # the second chain pass
+    for gt in ("X0", "X0,X1"):
+        ec = complexes_p4[gt]
+        for k, (op_fun, op) in enumerate(zip(_CHAIN_OPS, ec.ops)):
+            prev, level = ec.levels[k], ec.levels[k + 1]
+            assert op.nrows == level.dim and op.ncols == prev.dim
+            for j in range(prev.dim):
+                acc = op_fun(prev.fields[j])
+                for r, qv in op.column(j).items():
+                    acc = acc - level.fields[r].scale(qv)
+                assert acc.is_zero(), (gt, k, j)
+
+
+@pytest.mark.parametrize("gt", BOUNDARY_CONFIGS)
+def test_level_coords_are_the_coordinates_of_the_fields(complexes_p4, gt):
+    for level in complexes_p4[gt].levels:
+        assert len(level.coords) == level.dim
+        for field, coords in zip(level.fields, level.coords):
+            assert ea._exact_coords(field, level.kind, level.nvar) == coords
+
+
+_OPERATOR_CASES = [
+    pytest.param(name, in_kind, op_fun, id=name)
+    for name, in_kind, op_fun in (
+        ("sym_grad", "vector", pc.sym_grad),
+        ("rotrot_t", "symmetric-tensor", pc.rotrot_t),
+        ("Div", "symmetric-tensor", pc.Div),
+    )
+]
+
+
+def _random_fields(kind, degree, seed, count=3):
+    rng = random.Random(seed)
+    if kind == "vector":
+        return [pc.random_vec_field(rng, degree) for _ in range(count)]
+    return [pc.sym(pc.random_mat_field(rng, degree)) for _ in range(count)]
+
+
+def _rows(fields, kind, nvar):
+    coords = [ea._exact_coords(f, kind, nvar) for f in fields]
+    nums, dens = ea._integer_rows(coords, ea._KIND_COMPONENTS[kind] * nvar**3)
+    return nums, np.array(dens, dtype=np.int64)
+
+
+def _as_coords(nums, dens):
+    return [
+        {int(j): Q(int(row[j]), int(den)) for j in np.flatnonzero(row)}
+        for row, den in zip(nums, dens)
+    ]
+
+
+@pytest.mark.parametrize("nvar", [5, 6])
+@pytest.mark.parametrize("name,in_kind,op_fun", _OPERATOR_CASES)
+def test_operator_matrices_agree_with_poly_calculus(name, in_kind, op_fun, nvar):
+    out_kind = ea._OPERATORS[name]
+    _, _, den, _ = ea._operator_matrix(name, in_kind, nvar)
+    assert den == (2 if name == "sym_grad" else 1)
+    fields = _random_fields(in_kind, nvar - 1, seed=nvar)
+    nums, dens = ea._images(*_rows(fields, in_kind, nvar), name, in_kind, nvar, nvar)
+    expected = [ea._exact_coords(op_fun(f), out_kind, nvar) for f in fields]
+    assert _as_coords(nums, dens) == expected
+    # each image row is in least-denominator form, as _integer_rows gives it
+    ref_nums, ref_dens = ea._integer_rows(expected, nums.shape[1])
+    assert np.array_equal(nums, ref_nums) and list(dens) == ref_dens
+
+
+def test_operator_matrix_from_a_larger_grid():
+    fields = _random_fields("vector", 4, seed=11)
+    nums, dens = ea._images(*_rows(fields, "vector", 7), "sym_grad", "vector", 7, 5)
+    expected = [
+        ea._exact_coords(pc.sym_grad(f), "symmetric-tensor", 5) for f in fields
+    ]
+    assert nums.shape[1] == 6 * 5**3
+    assert _as_coords(nums, dens) == expected
+
+
+def test_image_outside_the_grid_is_an_assembly_error():
+    x = Poly3.variable(0)
+    high = PolyVecField([x * x * x * x * x * x, Poly3.zero(), Poly3.zero()])
+    rows = _rows([high], "vector", 7)
+    with pytest.raises(ea.AssemblyError, match="ambient degree bound 4"):
+        ea._images(*rows, "sym_grad", "vector", 7, 5)
+    # the same path through the chain: an extra V0 field of too high degree
+    with pytest.raises(ea.AssemblyError, match="ambient degree bound 4"):
+        ea._assemble_chain(4, ea.BoundarySelection.parse("all"), [high])
+
+
+def test_image_product_guard_is_an_assembly_error():
+    l1 = ea._operator_matrix("rotrot_t", "symmetric-tensor", 5)[3]
+    nums = np.zeros((2, 6 * 5**3), dtype=np.int64)
+    nums[1, 7] = (2**62 - 1) // l1 + 1  # max|nums| * L1 reaches 2^62
+    dens = np.ones(2, dtype=np.int64)
+    with pytest.raises(ea.AssemblyError, match="exceed 62 bits"):
+        ea._images(nums, dens, "rotrot_t", "symmetric-tensor", 5, 5)
+    nums[1, 7] -= 1  # just below the bound the product runs
+    ea._images(nums, dens, "rotrot_t", "symmetric-tensor", 5, 5)
 
 
 def test_float_ranks_agree_with_exact_certificates(complexes_p4):

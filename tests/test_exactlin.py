@@ -320,3 +320,41 @@ def test_select_rows_zero_width():
     nums = np.zeros((3, 0), dtype=np.int64)
     kept, exps, _ = xl.select_rows(nums, expand_flags=[True] * 3)
     assert kept == [] and exps == {0: [], 1: [], 2: []}
+
+
+@pytest.mark.parametrize("den", [xl.PRIMES[0], 3 * xl.PRIMES[2]], ids=["p0", "3p2"])
+def test_select_rows_denominator_divisible_by_a_ladder_prime(den):
+    # row 1 = [2, 4] is 2 * den times row 0 = [1, 2] / den
+    nums = np.array([[1, 2], [2, 4]], dtype=np.int64)
+    kept, exps, used = xl.select_rows(nums, dens=[den, 1], expand_flags=[True, True])
+    assert kept == [0]
+    assert exps == {1: [Q(2 * den)]}
+    assert used == 3  # the rung keeps its size, without the dividing prime
+
+
+def test_select_rows_ladder_skips_only_the_dividing_primes(monkeypatch):
+    tried = []
+    real = xl._select_mod
+
+    def spy(nums, dens, flags, primes):
+        tried.append(primes)
+        return real(nums, dens, flags, primes)
+
+    monkeypatch.setattr(xl, "_select_mod", spy)
+    nums = np.array([[1, 2], [2, 4]], dtype=np.int64)
+    xl.select_rows(nums, dens=[3 * xl.PRIMES[2], 1], expand_flags=[True, True])
+    assert tried == [(xl.PRIMES[0], xl.PRIMES[1], xl.PRIMES[3])]
+    tried.clear()
+    xl.select_rows(nums, dens=[3, 1], expand_flags=[True, True])
+    assert tried == [xl.PRIMES[:3]]
+
+
+def test_select_rows_explicit_prime_dividing_a_denominator_raises():
+    nums = np.array([[1, 2], [2, 4]], dtype=np.int64)
+    with pytest.raises(xl.ReconstructionFailure):
+        xl.select_rows(
+            nums,
+            dens=[xl.PRIMES[1], 1],
+            expand_flags=[True, True],
+            primes=xl.PRIMES[:3],
+        )
