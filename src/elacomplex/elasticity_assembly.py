@@ -20,8 +20,9 @@ Each chain operator is an integer matrix on that grid, derived once per
 grid size by applying the `poly_calculus` operator to every unit monomial
 field, so a level's images are one integer product with the previous
 level's rows (guarded against int64 overflow), each reduced to its least
-common denominator.  Exact rational coordinates and polynomial fields are
-built only for the rows a level keeps.
+common denominator.  A level keeps its basis as such integer rows; exact
+rational coordinates and polynomial fields are built from them on first
+use.
 
 Linear independence of the candidate fields is decided by one call,
 `exactlin.select_rows`: modular echelon elimination with rational
@@ -560,13 +561,20 @@ def _orthoframe_rows(X, ncomp, nvar, weights):
     return Z.reshape(K, -1).astype(np.float64)
 
 
-def _float_gram(coord_dicts, ncomp, nvar, weights):
-    """L2 Gram of fields given by exact coordinate dictionaries."""
-    X = np.zeros((len(coord_dicts), ncomp * nvar**3), dtype=np.longdouble)
+def _longdouble_coords(coord_dicts, width):
+    """Exact coordinate dictionaries as rows of a longdouble matrix, each
+    entry the correctly rounded quotient of its numerator and denominator."""
+    X = np.zeros((len(coord_dicts), width), dtype=np.longdouble)
     for i, coords in enumerate(coord_dicts):
         row = X[i]
         for j, q in coords.items():
             row[j] = np.longdouble(q.numerator) / np.longdouble(q.denominator)
+    return X
+
+
+def _float_gram(X, ncomp, nvar, weights):
+    """L2 Gram of the fields whose monomial-grid coordinates are the rows of
+    the longdouble matrix X."""
     B = _orthoframe_rows(X, ncomp, nvar, weights)
     G = B @ B.T
     return 0.5 * (G + G.T)
@@ -655,19 +663,45 @@ class ExactOperator:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexLevel:
-    """One space of the assembled chain: exact fields plus their coordinates."""
+    """One space of the assembled chain, held as integer rows.
+
+    Basis field i is nums[i] / dens[i] on the nvar monomial grid (read-only
+    int64 arrays, each row in least-denominator form).  Its exact rational
+    coordinates and polynomial field are built from the row on first use.
+    """
 
     kind: str
-    fields: tuple
+    nums: np.ndarray
+    dens: np.ndarray
     provenance: tuple
-    coords: tuple
     nvar: int
 
     @property
     def dim(self):
-        return len(self.fields)
+        return len(self.nums)
+
+    def coords_of(self, i):
+        """Exact coordinates {flat_index: rational} of basis field i."""
+        row = self.nums[i]
+        den = int(self.dens[i])
+        nz = np.flatnonzero(row)
+        return {j: Q(v, den) for j, v in zip(nz.tolist(), row[nz].tolist())}
+
+    def field(self, i):
+        """Exact polynomial field of basis field i, built on each call."""
+        return _field_from_coords(self.coords_of(i), self.kind, self.nvar)
+
+    @cached_property
+    def coords(self):
+        return tuple(self.coords_of(i) for i in range(self.dim))
+
+    @cached_property
+    def fields(self):
+        return tuple(
+            _field_from_coords(c, self.kind, self.nvar) for c in self.coords
+        )
 
 
 def _select_exact(nums, dens, flags):
@@ -683,9 +717,9 @@ def _normalized_level(kind, nums, dens, provenance, nvar):
     unit-size L2 norm.
 
     Row i is the field nums[i] / dens[i] on the nvar grid.  Returns (level,
-    scales, rows): the level's field i is row i divided by scales[i], and
-    `rows` holds those scaled fields as least-denominator integer rows.
-    Exact coordinates and fields are built for these rows only.
+    scales): the level's field i is row i divided by scales[i], held as a
+    read-only least-denominator integer row; no rational coordinates or
+    polynomial fields are built here.
     """
     norms = _l2_norms(kind, nums, dens, nvar)
     ks = np.array(
@@ -701,33 +735,31 @@ def _normalized_level(kind, nums, dens, provenance, nvar):
     g = np.gcd(np.gcd.reduce(nums, axis=1), dens)
     nums //= g[:, None]
     dens //= g
-    coords = []
-    for row, den in zip(nums, dens.tolist()):
-        nz = np.flatnonzero(row)
-        coords.append(
-            {j: Q(v, den) for j, v in zip(nz.tolist(), row[nz].tolist())}
-        )
+    nums.flags.writeable = dens.flags.writeable = False
     level = ComplexLevel(
         kind=kind,
-        fields=tuple(_field_from_coords(c, kind, nvar) for c in coords),
+        nums=nums,
+        dens=dens,
         provenance=tuple(provenance),
-        coords=tuple(coords),
         nvar=nvar,
     )
-    return level, [_pow2(k) for k in ks.tolist()], (nums, dens)
+    return level, [_pow2(k) for k in ks.tolist()]
 
 
-def _assemble_level(prev_level, prev_rows, op_name, generators, nvar):
+def _assemble_level(prev_level, op_name, generators, nvar):
     """Build the next level from operator images plus generator fields.
 
-    `prev_rows` are the previous level's fields as integer rows.  Returns
-    (level, operator, stats, rows): `level` spans the images of the previous
-    level's basis together with the generators; `operator` is the exact
-    matrix of the operator from the previous level into the new basis;
-    `rows` are the new level's fields as integer rows.
+    Returns (level, operator, stats): `level` spans the images of the
+    previous level's basis together with the generators; `operator` is the
+    exact matrix of the operator from the previous level into the new basis.
     """
     nums, dens = _images(
-        *prev_rows, op_name, prev_level.kind, prev_level.nvar, nvar
+        prev_level.nums,
+        prev_level.dens,
+        op_name,
+        prev_level.kind,
+        prev_level.nvar,
+        nvar,
     )
     nonzero = np.flatnonzero(nums.any(axis=1)).tolist()
     cand_nums = np.vstack([nums[nonzero], _space_rows(generators, nvar)])
@@ -737,7 +769,7 @@ def _assemble_level(prev_level, prev_rows, op_name, generators, nvar):
     provenance += [("generator", g) for g in range(generators.dim)]
     flags = np.arange(len(provenance)) < len(nonzero)
     kept, expansions, nprimes = _select_exact(cand_nums, cand_dens, flags)
-    level, scales, rows = _normalized_level(
+    level, scales = _normalized_level(
         _OPERATORS[op_name],
         cand_nums[kept],
         cand_dens[kept],
@@ -775,7 +807,7 @@ def _assemble_level(prev_level, prev_rows, op_name, generators, nvar):
         ),
         "primes_used": nprimes,
     }
-    return level, operator, stats, rows
+    return level, operator, stats
 
 
 # ---------------------------------------------------------------------------
@@ -993,7 +1025,8 @@ class ElasticityComplex:
         if grams is None:
             grams = tuple(
                 _float_gram(
-                    level.coords,
+                    level.nums.astype(np.longdouble)
+                    / level.dens.astype(np.longdouble)[:, None],
                     _KIND_COMPONENTS[level.kind],
                     level.nvar,
                     _KIND_WEIGHTS[level.kind],
@@ -1050,26 +1083,23 @@ def _assemble_chain(p, bc, extras):
             raise AssemblyError("coordinate denominator exceeds 62 bits")
         nums = np.vstack([nums, extra_nums])
         dens = np.concatenate([dens, np.array(extra_dens, dtype=np.int64)])
-    level0, _, rows = _normalized_level(
+    level0, _ = _normalized_level(
         "vector", nums, dens, [("generator", g) for g in range(len(nums))], nvar0
     )
-    level1, a0, s0, rows = _assemble_level(
+    level1, a0, s0 = _assemble_level(
         level0,
-        rows,
         "sym_grad",
         _generator_space("symmetric-tensor", p - 1, bc, 2),
         nvar,
     )
-    level2, a1, s1, rows = _assemble_level(
+    level2, a1, s1 = _assemble_level(
         level1,
-        rows,
         "rotrot_t",
         _generator_space("symmetric-tensor", p - 3, bc, 1),
         nvar,
     )
-    level3, a2, s2, _ = _assemble_level(
+    level3, a2, s2 = _assemble_level(
         level2,
-        rows,
         "Div",
         _generator_space("vector", p - 4, bc, 0),
         nvar,
@@ -1106,10 +1136,10 @@ def _kernel_overflow_fields(ec):
     )
     fields = []
     for j, coeffs in sorted(expansions.items()):
-        f = level1.fields[gen_pos[j]]
+        f = level1.field(gen_pos[j])
         for c, k in zip(coeffs, kept):
             if c != 0:
-                f = f - level1.fields[gen_pos[k]].scale(c)
+                f = f - level1.field(gen_pos[k]).scale(c)
         if f.is_zero():
             raise AssemblyError("zero overflow field")
         fields.append(f)
@@ -1138,6 +1168,10 @@ def build_complex(p, gt="none", use_cache=True):
     their bases: the images now come first among the candidates and take
     the place of generators (for p=4 and X0 the kept V1 generators drop
     from 140 to 138), and the provenance of V2 changes with them.
+
+    The levels hold integer rows only; the overflow step builds just the
+    level-1 generator fields it combines, and the exact coordinates and
+    fields of a level are built when first read.
     """
     bc = BoundarySelection.parse(gt)
     if p < 4:
@@ -1347,13 +1381,18 @@ def korn_constant(p, gt="none"):
     grads = [pc.Grad(f) for f in space.fields]
     syms = [pc.sym(S) for S in grads]
     K = _float_gram(
-        [_exact_coords(S, "matrix", nvar) for S in grads],
+        _longdouble_coords(
+            [_exact_coords(S, "matrix", nvar) for S in grads], 9 * nvar**3
+        ),
         9,
         nvar,
         _KIND_WEIGHTS["matrix"],
     )
     M = _float_gram(
-        [_exact_coords(S, "symmetric-tensor", nvar) for S in syms],
+        _longdouble_coords(
+            [_exact_coords(S, "symmetric-tensor", nvar) for S in syms],
+            6 * nvar**3,
+        ),
         6,
         nvar,
         _KIND_WEIGHTS["symmetric-tensor"],

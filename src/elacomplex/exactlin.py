@@ -10,11 +10,14 @@ Each prime runs one reduced row echelon form of the transposed residue
 matrix in float64 (residues below 2^26 keep every product below 2^53,
 hence exact): its pivot columns are the kept rows and its dependent
 columns the expansions, which are lifted to exact rationals by CRT plus
-rational reconstruction.  Independence mod any prime already certifies
-independence over the rationals; every lifted expansion is then checked
-exactly against its rational row before it is returned, and the prime set
-grows until the check passes, so a wrong lift can only fail loudly
-(`ReconstructionFailure`), never pass.
+rational reconstruction.  Residues are reduced without libm `fmod`, which
+dominated the row updates: an integer x with |x| < 2^53 maps to
+x - floor(x * (1/p)) * p, which is exact and off by at most one multiple
+of p, and one fix-up brings it into [0, p).  Independence mod any prime
+already certifies independence over the rationals; every lifted expansion
+is then checked exactly against its rational row before it is returned,
+and the prime set grows until the check passes, so a wrong lift can only
+fail loudly (`ReconstructionFailure`), never pass.
 """
 
 from math import gcd, isqrt, lcm
@@ -46,11 +49,24 @@ class ReconstructionFailure(RuntimeError):
     """Rational lift could not be certified with the available primes."""
 
 
+def _reduce(x, p):
+    """x mod p in [0, p), in place, for a float64 array of integers below
+    2^53 in magnitude.
+
+    The quotient floor(x * (1/p)) is off by at most one, and every
+    intermediate is an integer below 2^53, so the result is exact.
+    """
+    x -= np.floor(x * (1.0 / p)) * p
+    np.add(x, p, out=x, where=x < 0)
+    np.subtract(x, p, out=x, where=x >= p)
+    return x
+
+
 def mod_rows(nums, dens, p):
     """Reduce rational rows nums[i] / dens[i] (int64 numerators) mod p."""
     red = np.remainder(nums, p).astype(np.float64)
     inv = np.array([pow(int(d), -1, p) for d in dens], dtype=np.float64)
-    return np.remainder(red * inv[:, None], p)
+    return _reduce(red * inv[:, None], p)
 
 
 def _select_mod_p(rows, expand_flags, p):
@@ -60,8 +76,9 @@ def _select_mod_p(rows, expand_flags, p):
     form column by column.  The pivot columns are the greedy earliest
     independent rows.  Row operations preserve column relations, so a
     dependent column j of the RREF holds its row's expansion over the kept
-    rows (zero on those after j).  Every product of two residues is below
-    p^2 < 2^53, so the float64 arithmetic is exact.
+    rows (zero on those after j); it is returned as a copy, so M is freed
+    when the pass ends.  Every product of two residues is below p^2 < 2^53,
+    so the float64 arithmetic is exact.
     """
     M = np.ascontiguousarray(rows.T)
     kept = []
@@ -74,17 +91,17 @@ def _select_mod_p(rows, expand_flags, p):
         if lead != r:
             M[[r, lead], j:] = M[[lead, r], j:]
         inv = float(pow(int(M[r, j]), -1, p))
-        M[r, j:] = np.remainder(M[r, j:] * inv, p)
+        M[r, j:] = _reduce(M[r, j:] * inv, p)
         hit = np.flatnonzero(M[:, j])
         hit = hit[hit != r]
         if hit.size:
             col = M[hit, j]
-            M[hit, j:] = np.remainder(M[hit, j:] - col[:, None] * M[r, j:], p)
+            M[hit, j:] = _reduce(M[hit, j:] - col[:, None] * M[r, j:], p)
         kept.append(j)
     r = len(kept)
     dependent = np.flatnonzero(expand_flags)
     dependent = dependent[~np.isin(dependent, kept)]
-    return kept, {int(j): M[:r, j] for j in dependent}
+    return kept, {int(j): M[:r, j].copy() for j in dependent}
 
 
 def crt_int(residues, primes):

@@ -307,7 +307,8 @@ def test_legendre_frame_is_orthonormal():
 def test_float_gram_matches_exact_integrals():
     space = ea.build_space("vector", 2, "X0", 1)
     coords = [ea._exact_coords(f, "vector", 3) for f in space.fields]
-    G = ea._float_gram(coords, 3, 3, ea._KIND_WEIGHTS["vector"])
+    X = ea._longdouble_coords(coords, 3 * 3**3)
+    G = ea._float_gram(X, 3, 3, ea._KIND_WEIGHTS["vector"])
     exact = np.diag([float(q) for q in space.gram_diag])
     assert np.max(np.abs(G - exact)) < 1e-14
 
@@ -391,6 +392,25 @@ def test_level_coords_are_the_coordinates_of_the_fields(complexes_p4, gt):
         assert len(level.coords) == level.dim
         for field, coords in zip(level.fields, level.coords):
             assert ea._exact_coords(field, level.kind, level.nvar) == coords
+
+
+def test_levels_hold_integer_rows_and_build_fields_lazily():
+    ec = ea.build_complex(4, "all", use_cache=False)
+    grams = ec.float_grams()
+    for level in ec.levels:
+        assert "coords" not in level.__dict__ and "fields" not in level.__dict__
+        assert level.dim == len(level.nums) == len(level.dens) > 0
+        with pytest.raises(ValueError):
+            level.nums[0, 0] = 1
+        with pytest.raises(ValueError):
+            level.dens[0] = 1
+    for level, G in zip(ec.levels, grams):
+        X = ea._longdouble_coords(level.coords, level.nums.shape[1])
+        ncomp = ea._KIND_COMPONENTS[level.kind]
+        ref = ea._float_gram(X, ncomp, level.nvar, ea._KIND_WEIGHTS[level.kind])
+        assert np.array_equal(G, ref)
+        for i in (0, level.dim - 1):
+            assert (level.field(i) - level.fields[i]).is_zero()
 
 
 _OPERATOR_CASES = [

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -200,6 +201,17 @@ def test_select_rows_oracle_cases(case):
             assert total == rows[idx][j]
 
 
+def test_select_mod_p_returns_expansions_as_copies():
+    # the expansions must not keep the prime's whole RREF matrix alive
+    nums, dens = _low_rank(7, 40, 30, 12)
+    p = xl.PRIMES[0]
+    residues = xl.mod_rows(nums, dens, p)
+    kept, exps = xl._select_mod_p(residues, np.ones(40, dtype=bool), p)
+    assert len(kept) == 12 and len(exps) == 28
+    for e in exps.values():
+        assert e.base is None or e.base.shape != residues.T.shape
+
+
 def test_select_rows_multiblock_stress_vs_oracle():
     rng = random.Random(99)
     rank, m, extra = 25, 40, 35
@@ -358,3 +370,38 @@ def test_select_rows_explicit_prime_dividing_a_denominator_raises():
             expand_flags=[True, True],
             primes=xl.PRIMES[:3],
         )
+
+
+# --- residue reduction without fmod --------------------------------------------
+
+
+@pytest.mark.parametrize("p", xl.PRIMES)
+def test_reduce_matches_python_mod(p):
+    # the RREF reduces products r * inv in [0, (p-1)^2] and updates
+    # a - c * b in [-(p-1)^2, p-1]
+    bound = (p - 1) ** 2
+    values = [0, 1, -1, p, -p, bound, -bound, p - 1, -(p - 1)]
+    for k in (1, 2, p // 2, p - 2, -1, -2, -(p // 2), -(p - 2)):
+        values += [k * p - 1, k * p, k * p + 1]
+    rng = random.Random(p)
+    values += [rng.randint(-bound, bound) for _ in range(20000)]
+    x = np.array(values, dtype=np.float64)
+    out = xl._reduce(x, p)
+    assert out.tolist() == [float(v % p) for v in values]
+    assert out.min() >= 0 and out.max() < p
+
+
+def test_reduce_fixups_near_2_53():
+    # near 2^53 the quotient floor(x * (1/p)) can be off by one either way;
+    # 1/67108529 rounds up in float64 while 1/PRIMES[0] rounds down, and
+    # these values need the +p and the -p fix-up
+    cases = [
+        (xl.PRIMES[0], -9007198583652353),
+        (67108529, 7881304968041277),
+        (67108529, -7881304968041278),
+    ]
+    raw = [x - math.floor(x * (1.0 / p)) * p for p, x in cases]
+    assert min(raw) < 0 and max(raw) >= 67108529
+    for p, x in cases:
+        assert abs(x) < 2**53
+        assert xl._reduce(np.array([float(x)]), p).tolist() == [float(x % p)]
