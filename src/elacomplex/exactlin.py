@@ -9,18 +9,23 @@ that precede them.  The number of kept rows is the certified rank.
 Each prime runs one reduced row echelon form of the transposed residue
 matrix in float64 (residues below 2^26 keep every product below 2^53,
 hence exact): its pivot columns are the kept rows and its dependent
-columns the expansions, which are lifted to exact rationals by CRT plus
-rational reconstruction.  Residues are reduced without libm `fmod`, which
-dominated the row updates: an integer x with |x| < 2^53 maps to
-x - floor(x * (1/p)) * p, which is exact and off by at most one multiple
-of p, and one fix-up brings it into [0, p).  Independence mod any prime
-already certifies independence over the rationals; every lifted expansion
-is then checked exactly against its rational row before it is returned,
-and the prime set grows until the check passes, so a wrong lift can only
-fail loudly (`ReconstructionFailure`), never pass.
+columns the expansions of the dependent rows.  Residues are reduced
+without libm `fmod`, which dominated the row updates: an integer x with
+|x| < 2^53 maps to x - floor(x * (1/p)) * p, which is exact and off by at
+most one multiple of p, and one fix-up brings it into [0, p).
+
+The certificate is complete.  Independence mod any prime certifies the
+kept rows independent over the rationals.  The expansion of every
+dependent row, flagged or not, is lifted to rationals by CRT plus Wang's
+rational reconstruction and checked exactly (modulo word-size check primes
+whose product exceeds a bound on both sides of the identity), which proves
+the row dependent; so the kept set is the greedy selection over Q.  One
+prime is the normal case: the prime set grows one prime at a time, reusing
+the passes already run, only while a lift fails or does not verify, so a
+wrong lift can only fail loudly (`ReconstructionFailure`), never pass.
 """
 
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, log2
 
 import numpy as np
 
@@ -45,6 +50,24 @@ PRIMES = (
 )
 
 
+# primes just below 2^20 for the exact check: a sum of 2^13 products of two
+# residues stays below 2^53
+CHECK_PRIMES = (
+    1048573,
+    1048571,
+    1048559,
+    1048549,
+    1048517,
+    1048507,
+    1048447,
+    1048433,
+)
+_CHECK_BLOCK = 1 << 13
+
+# rung sizes of the prime ladder of select_rows
+_LADDER = (1, 2, 3, 5, 8, 12)
+
+
 class ReconstructionFailure(RuntimeError):
     """Rational lift could not be certified with the available primes."""
 
@@ -65,43 +88,48 @@ def _reduce(x, p):
 def mod_rows(nums, dens, p):
     """Reduce rational rows nums[i] / dens[i] (int64 numerators) mod p."""
     red = np.remainder(nums, p).astype(np.float64)
-    inv = np.array([pow(int(d), -1, p) for d in dens], dtype=np.float64)
-    return _reduce(red * inv[:, None], p)
+    scaled = np.flatnonzero(dens != 1)
+    if scaled.size:
+        inv = np.array([pow(int(d), -1, p) for d in dens[scaled]], dtype=np.float64)
+        red[scaled] = _reduce(red[scaled] * inv[:, None], p)
+    return red
 
 
-def _select_mod_p(rows, expand_flags, p):
-    """One prime: kept rows and expansions of flagged dependent rows.
+def _select_mod_p(rows, p):
+    """One prime: kept rows and the expansions of every dependent row.
 
     Reduces M = rows.T (float64 residues in [0, p)) to reduced row echelon
     form column by column.  The pivot columns are the greedy earliest
     independent rows.  Row operations preserve column relations, so a
     dependent column j of the RREF holds its row's expansion over the kept
-    rows (zero on those after j); it is returned as a copy, so M is freed
-    when the pass ends.  Every product of two residues is below p^2 < 2^53,
-    so the float64 arithmetic is exact.
+    rows (zero on those after j).  Returns (kept, deps): column i of deps is
+    the expansion of the i-th row not in kept, gathered into a new array so
+    that M is freed when the pass ends.  Every product of two residues is
+    below p^2 < 2^53, so the float64 arithmetic is exact.
     """
     M = np.ascontiguousarray(rows.T)
     kept = []
     for j in range(M.shape[1]):
         r = len(kept)
-        below = np.flatnonzero(M[r:, j])
-        if below.size == 0:
+        col = M[:, j]
+        nz = np.flatnonzero(col)
+        lead = nz.searchsorted(r)
+        if lead == nz.size:
             continue
-        lead = r + below[0]
+        lead = nz[lead]
+        # M[r, j] is zero unless lead == r, so after the swap the other
+        # nonzero rows of column j are nz without lead, with their values
+        hit = nz[nz != lead]
+        factors = col[hit]
         if lead != r:
             M[[r, lead], j:] = M[[lead, r], j:]
         inv = float(pow(int(M[r, j]), -1, p))
         M[r, j:] = _reduce(M[r, j:] * inv, p)
-        hit = np.flatnonzero(M[:, j])
-        hit = hit[hit != r]
         if hit.size:
-            col = M[hit, j]
-            M[hit, j:] = _reduce(M[hit, j:] - col[:, None] * M[r, j:], p)
+            M[hit, j:] = _reduce(M[hit, j:] - factors[:, None] * M[r, j:], p)
         kept.append(j)
-    r = len(kept)
-    dependent = np.flatnonzero(expand_flags)
-    dependent = dependent[~np.isin(dependent, kept)]
-    return kept, {int(j): M[:r, j].copy() for j in dependent}
+    dependent = np.setdiff1d(np.arange(M.shape[1]), kept)
+    return kept, M[: len(kept)][:, dependent]
 
 
 def crt_int(residues, primes):
@@ -135,33 +163,40 @@ def rat_reconstruct(a, m):
     return Q(r1, s1)
 
 
-def _select_mod(nums, dens, expand_flags, primes):
-    """One attempt: an RREF per prime, agreeing kept sets, lifted expansions."""
-    passes = [
-        _select_mod_p(mod_rows(nums, dens, p), expand_flags, p) for p in primes
-    ]
-    kept, first = passes[0]
-    if any(other != kept for other, _ in passes[1:]):
-        raise ReconstructionFailure("prime passes disagree on the kept set")
-    expansions = {}
-    for idx in first:
-        lifted = []
-        for residues in zip(*(exps[idx] for _, exps in passes)):
-            a, mod = crt_int(residues, primes)
-            q = rat_reconstruct(a % mod, mod)
-            if q is None:
-                raise ReconstructionFailure(
-                    "rational reconstruction failed at row %d" % idx
-                )
-            lifted.append(q)
-        expansions[idx] = lifted
-    return kept, expansions
+def _lift(passes, primes):
+    """Kept set and dependency coefficients lifted from modular passes.
+
+    Rank mod p never exceeds the rank over Q, and the greedy kept set over
+    Q is elementwise no later than that of any pass, so only the passes with
+    the largest rank and, among those, the earliest kept set can hold it;
+    the others are dropped.  The expansions of the remaining passes are
+    lifted by CRT and Wang's reconstruction, each distinct nonzero residue
+    tuple once.  Returns (kept, values, index): values[0] is 0 and the
+    coefficient of kept row kept[k] in the expansion of the i-th dependent
+    row is values[index[i, k]].
+    """
+    kept = min((k for k, _ in passes), key=lambda k: (-len(k), k))
+    agree = [i for i, (k, _) in enumerate(passes) if k == kept]
+    moduli = [primes[i] for i in agree]
+    residues = np.stack([passes[i][1] for i in agree], axis=-1)
+    nonzero = residues.any(axis=-1)
+    tuples, inverse = np.unique(residues[nonzero], axis=0, return_inverse=True)
+    values = [Q(0)]
+    for t in tuples.tolist():
+        a, m = crt_int(t, moduli)
+        q = rat_reconstruct(a, m)
+        if q is None:
+            raise ReconstructionFailure("rational reconstruction failed")
+        values.append(q)
+    index = np.zeros(nonzero.shape, dtype=np.intp)
+    index[nonzero] = inverse.ravel() + 1
+    return kept, values, index.T
 
 
-def _expansions_hold(nums, dens, kept, expansions):
-    """Exact check that each row nums[i]/dens[i] equals its expansion."""
-    for idx, coeffs in expansions.items():
-        weights = [(k, c / int(dens[k])) for c, k in zip(coeffs, kept) if c != 0]
+def _exact_hold(nums, dens, kept, dependent, coeffs):
+    """Python-integer check that each dependent row equals its expansion."""
+    for idx, row in zip(dependent, coeffs):
+        weights = [(k, c / int(dens[k])) for c, k in zip(row, kept) if c != 0]
         den = int(dens[idx])
         scale = lcm(den, *(int(w.denominator) for _, w in weights))
         acc = nums[idx].astype(object) * (scale // den)
@@ -169,6 +204,50 @@ def _expansions_hold(nums, dens, kept, expansions):
             nz = np.flatnonzero(nums[k])
             acc[nz] -= nums[k, nz].astype(object) * int(w * scale)
         if np.any(acc != 0):
+            return False
+    return True
+
+
+def _expansions_hold(nums, dens, kept, values, index):
+    """Exact check that every dependent row equals its lifted expansion.
+
+    With L the lcm of the row denominators times the lcm of the coefficient
+    denominators, each dependent row i gives an integer identity
+    L nums[i] / dens[i] = sum_k (L c_ik / dens[k]) nums[kept[k]] whose two
+    sides are bounded by H.  When the check primes that do not divide L
+    have a product above 2H, the identity is compared modulo each of them,
+    one float64 matrix product per prime (exact: residues stay below 2^20
+    and each product sums at most 2^13 terms); equality modulo a product
+    above 2H is exact equality.  Otherwise the rows are compared in Python
+    integers.
+    """
+    dependent = np.setdiff1d(np.arange(len(nums)), kept)
+    scale = lcm(*np.unique(dens).tolist()) * lcm(*(v.denominator for v in values))
+    magnitude = np.abs(nums).max(axis=1, initial=0) / dens
+    size = np.array([abs(float(v)) for v in values])[index] @ magnitude[kept]
+    top = max(size.max(initial=0), magnitude[dependent].max(initial=0))
+    # log2(2H), plus one bit for the rounding of the float bound
+    bits = log2(scale) + log2(top) + 2 if top > 0 else 0
+    moduli, cover = [], 0.0
+    for q in CHECK_PRIMES:
+        if cover >= bits:
+            break
+        if scale % q:
+            moduli.append(q)
+            cover += log2(q)
+    if cover < bits:
+        coeffs = [[values[u] for u in row] for row in index.tolist()]
+        return _exact_hold(nums, dens, kept, dependent, coeffs)
+    for q in moduli:
+        table = [v.numerator * pow(v.denominator, -1, q) % q for v in values]
+        weights = np.array(table, dtype=np.float64)[index]
+        rows = mod_rows(nums, dens, q)
+        basis = rows[kept]
+        acc = np.zeros((len(dependent), nums.shape[1]))
+        for s in range(0, len(kept), _CHECK_BLOCK):
+            part = weights[:, s : s + _CHECK_BLOCK] @ basis[s : s + _CHECK_BLOCK]
+            acc = _reduce(acc + _reduce(part, q), q)
+        if not np.array_equal(acc, rows[dependent]):
             return False
     return True
 
@@ -183,38 +262,51 @@ def select_rows(nums, dens=None, expand_flags=None, primes=None):
     Returns (kept_indices, expansions, primes_used): expansions maps a
     dependent flagged row index to a list of Q aligned with kept_indices
     (zeros for kept rows that come after it), and primes_used is the number
-    of primes of the attempt that succeeded.  Kept rows are certifiably
-    independent over Q (independence mod one prime suffices); the kept set
-    is cross-checked over every prime of an attempt, and every expansion is
-    verified exactly against nums[i] / dens[i].
+    of primes of the rung that succeeded.
 
-    With `primes` given, exactly one attempt runs with exactly those primes;
-    a prime that divides a denominator raises ReconstructionFailure.
-    Otherwise the attempts climb a ladder over the primes of PRIMES that
-    divide no denominator: the first 3 when any row is flagged (2 when none
-    is), then 5, 8 and 12.  ReconstructionFailure is raised when no attempt
-    yields a verified selection.
+    The result is certified.  Kept rows are independent over Q, because
+    independence mod one prime implies it.  Every dependent row, flagged or
+    not, gets a lifted expansion over the kept rows before it, checked
+    exactly against nums[i] / dens[i] (`_expansions_hold`), which proves the
+    row dependent over Q; so the kept set is exactly the greedy selection
+    over Q and its size the rank.
+
+    The attempts climb a ladder of 1, 2, 3, 5, 8 and 12 primes over the
+    primes of PRIMES that divide no denominator, one RREF pass per prime:
+    a rung adds passes to those of the rungs below it and lifts from all of
+    them, dropping passes whose kept set cannot be the one over Q (see
+    `_lift`).  One prime is the normal case.  With `primes` given, exactly
+    one attempt runs with exactly those primes; a prime that divides a
+    denominator raises ReconstructionFailure.  ReconstructionFailure is
+    raised when no attempt yields a verified selection.
     """
     n, m = nums.shape
     nums = np.ascontiguousarray(nums, dtype=np.int64)
     dens = np.ones(n, dtype=np.int64) if dens is None else np.asarray(dens)
-    if expand_flags is None:
-        expand_flags = np.zeros(n, dtype=bool)
+    flags = np.zeros(n, dtype=bool) if expand_flags is None else expand_flags
     if primes is not None:
         if any(np.any(dens % p == 0) for p in primes):
             raise ReconstructionFailure("a prime divides a row denominator")
-        ladder = (tuple(primes),)
+        pool, ladder = tuple(primes), (len(primes),)
     else:
-        usable = [p for p in PRIMES if np.all(dens % p)]
-        first = 3 if np.any(expand_flags) else 2
-        ladder = tuple(tuple(usable[:k]) for k in (first, 5, 8, 12))
-    for attempt in ladder:
+        pool, ladder = tuple(p for p in PRIMES if np.all(dens % p)), _LADDER
+    rungs = sorted({min(k, len(pool)) for k in ladder} - {0})
+    passes = []
+    for k in rungs:
+        for p in pool[len(passes) : k]:
+            passes.append(_select_mod_p(mod_rows(nums, dens, p), p))
         try:
-            kept, expansions = _select_mod(nums, dens, expand_flags, attempt)
+            kept, values, index = _lift(passes, pool)
         except ReconstructionFailure:
             continue
-        if _expansions_hold(nums, dens, kept, expansions):
-            return kept, expansions, len(attempt)
+        if _expansions_hold(nums, dens, kept, values, index):
+            dependent = np.setdiff1d(np.arange(n), kept).tolist()
+            expansions = {
+                j: [values[u] for u in row]
+                for j, row in zip(dependent, index.tolist())
+                if flags[j]
+            }
+            return kept, expansions, k
     raise ReconstructionFailure(
-        "no verified selection with up to %d primes" % len(ladder[-1])
+        "no verified selection with up to %d primes" % max(rungs, default=0)
     )

@@ -16,14 +16,14 @@ import pytest
 from elacomplex.rational import qstr
 
 DIGESTS = {
-    (4, "none"): "8b1449f58eba6f80a3c0b31f9ef78a2ec1e57de5d75db42b2c0e08bf9dae6d09",
-    (4, "X0"): "6029f6a14eb94d123e197709f660db35d7c91845c6333aa22a60529d96b1e72a",
-    (4, "X0,X1"): "1ffe26e6ae149884e9fec0aa95d8d1a3878e286c38dbcb6488b697b370357663",
-    (4, "all"): "34505d07665ec69b330f4abe60d61119e1dfc953745a224d4389326b87d52c76",
-    (5, "none"): "5928ec52c3d622a5296a79469e0a11365e04e77e20c0bf5432c0919c8fd3c184",
-    (5, "X0"): "3d69c37b8d91298507ceafbc4ec0d2dfe16443b388f0e53626ad8ad3d42b7c84",
-    (5, "X0,X1"): "66097f1e1bb85cefa95edfc5d34f8d235e96ee615323778b0090072653249b5c",
-    (5, "all"): "0eb2e98de43ad9a3b4207e6d5cbbc6b53db9e24a124a3ab705814186ac7f3daf",
+    (4, "none"): "91256020a5d4acf8aeca4e2928741d03b52c00afd5d5ef26ecfa622a81879011",
+    (4, "X0"): "84bc11dce45b43dc8ea060d00ae6cf491f661dd5b83cb13a6f4b5edd8feec49f",
+    (4, "X0,X1"): "26a5cffb1592ccedebf5e2699aa54b75b186ea84cf9c14984f9cbe635f343755",
+    (4, "all"): "a42d9d0f29cdc96b48651c0cc5be8d05119c432c2a50dd2c12861b01e8405599",
+    (5, "none"): "b9b38afb73fb27eb05671067eea2eab5648067e1c21b6747518937eb0f78d269",
+    (5, "X0"): "33cbeff2faabfbea7fe5250d102411def961d19e499fea32d7decf4133c301a2",
+    (5, "X0,X1"): "41dc2d4f864b8a96ddef473ef981e3af2eddab6fdacfdffca87b95b0efa29c71",
+    (5, "all"): "7bb79691784f37e9898e49b23a140f8157fb9725445a7979dfbf7ce0ab46f37b",
 }
 
 
@@ -60,3 +60,8 @@ def complex_digest(ec):
 def test_assembly_digest(request, p, gt):
     ec = request.getfixturevalue("complexes_p%d" % p)[gt]
     assert complex_digest(ec) == DIGESTS[(p, gt)]
+
+
+@pytest.mark.parametrize("gt", ["none", "X0", "X0,X1", "all"])
+def test_one_prime_per_selection_at_p4(complexes_p4, gt):
+    assert [s["primes_used"] for s in complexes_p4[gt].stats] == [1, 1, 1]

@@ -206,10 +206,9 @@ def test_select_mod_p_returns_expansions_as_copies():
     nums, dens = _low_rank(7, 40, 30, 12)
     p = xl.PRIMES[0]
     residues = xl.mod_rows(nums, dens, p)
-    kept, exps = xl._select_mod_p(residues, np.ones(40, dtype=bool), p)
-    assert len(kept) == 12 and len(exps) == 28
-    for e in exps.values():
-        assert e.base is None or e.base.shape != residues.T.shape
+    kept, deps = xl._select_mod_p(residues, p)
+    assert len(kept) == 12 and deps.shape == (12, 28)
+    assert deps.base is None or deps.base.shape != residues.T.shape
 
 
 def test_select_rows_multiblock_stress_vs_oracle():
@@ -287,19 +286,34 @@ def _patch_reconstruction(monkeypatch, wrong_attempts, lift):
     return seen
 
 
+def _spy_passes(monkeypatch):
+    """Record the prime of every modular RREF pass."""
+    real = xl._select_mod_p
+    primes = []
+
+    def spy(rows, p):
+        primes.append(p)
+        return real(rows, p)
+
+    monkeypatch.setattr(xl, "_select_mod_p", spy)
+    return primes
+
+
 def test_select_rows_first_rung_and_expansions():
     kept, exps, used = _select_dependent()
     assert kept == [0, 3]
     assert exps == {1: [Q(2), Q(0)], 2: [Q(-1, 3), Q(0)]}
-    assert used == 3
-    assert xl.select_rows(_DEPENDENT_NUMS)[2] == 2  # nothing flagged
+    assert used == 1
+    assert xl.select_rows(_DEPENDENT_NUMS)[1:] == ({}, 1)  # nothing flagged
 
 
 def test_select_rows_ladder_exhausted_raises(monkeypatch):
     seen = _patch_reconstruction(monkeypatch, 99, lambda q: None)
+    primes = _spy_passes(monkeypatch)
     with pytest.raises(xl.ReconstructionFailure):
         _select_dependent()
-    assert len(seen) == 4  # 3, 5, 8 and 12 primes were all tried
+    assert len(seen) == 6  # 1, 2, 3, 5, 8 and 12 primes were all tried
+    assert primes == list(xl.PRIMES)  # one pass per prime, reused by later rungs
 
 
 def test_select_rows_explicit_primes_make_one_attempt(monkeypatch):
@@ -314,7 +328,7 @@ def test_select_rows_ladder_recovers_from_a_failed_rung(monkeypatch):
     seen = _patch_reconstruction(monkeypatch, 1, lambda q: None)
     kept, exps, used = _select_dependent()
     assert (kept, exps) == expected
-    assert used == 5 and len(seen) == 2
+    assert used == 2 and len(seen) == 2
 
 
 def test_select_rows_exact_check_rejects_a_wrong_lift(monkeypatch):
@@ -322,7 +336,7 @@ def test_select_rows_exact_check_rejects_a_wrong_lift(monkeypatch):
     _patch_reconstruction(monkeypatch, 1, lambda q: q + 1)
     kept, exps, used = _select_dependent()
     assert (kept, exps) == expected
-    assert used == 5
+    assert used == 2
     _patch_reconstruction(monkeypatch, 99, lambda q: q + 1)
     with pytest.raises(xl.ReconstructionFailure):
         _select_dependent(primes=xl.PRIMES[:3])
@@ -345,20 +359,16 @@ def test_select_rows_denominator_divisible_by_a_ladder_prime(den):
 
 
 def test_select_rows_ladder_skips_only_the_dividing_primes(monkeypatch):
-    tried = []
-    real = xl._select_mod
-
-    def spy(nums, dens, flags, primes):
-        tried.append(primes)
-        return real(nums, dens, flags, primes)
-
-    monkeypatch.setattr(xl, "_select_mod", spy)
+    # the first two rungs fail, so the third rung runs a third prime
+    seen = _patch_reconstruction(monkeypatch, 2, lambda q: None)
+    tried = _spy_passes(monkeypatch)
     nums = np.array([[1, 2], [2, 4]], dtype=np.int64)
     xl.select_rows(nums, dens=[3 * xl.PRIMES[2], 1], expand_flags=[True, True])
-    assert tried == [(xl.PRIMES[0], xl.PRIMES[1], xl.PRIMES[3])]
+    assert tried == [xl.PRIMES[0], xl.PRIMES[1], xl.PRIMES[3]]
+    seen.clear()
     tried.clear()
     xl.select_rows(nums, dens=[3, 1], expand_flags=[True, True])
-    assert tried == [xl.PRIMES[:3]]
+    assert tried == list(xl.PRIMES[:3])
 
 
 def test_select_rows_explicit_prime_dividing_a_denominator_raises():
@@ -370,6 +380,90 @@ def test_select_rows_explicit_prime_dividing_a_denominator_raises():
             expand_flags=[True, True],
             primes=xl.PRIMES[:3],
         )
+
+
+@pytest.mark.parametrize("flagged", [False, True])
+def test_select_rows_rank_drop_mod_the_first_prime(flagged):
+    # the rows agree mod PRIMES[0] only: that pass has rank 1, and the next
+    # pass, of rank 2, replaces it
+    nums = np.array([[1, 1], [1, 1 + xl.PRIMES[0]]], dtype=np.int64)
+    kept, exps, used = xl.select_rows(nums, expand_flags=[flagged] * 2)
+    assert kept == [0, 1] and exps == {} and used == 2
+
+
+def test_select_rows_rejects_a_faked_unflagged_dependency(monkeypatch):
+    # the first pass claims that the last row, an independent unflagged
+    # generator, is zero; only the exact check of that row can refuse it
+    nums = np.array([[1, 0, 0], [0, 1, 0], [2, 3, 0], [0, 0, 1]], dtype=np.int64)
+    flags = [True, True, True, False]
+    real = xl._select_mod_p
+    calls = []
+
+    def faked(rows, p):
+        kept, deps = real(rows, p)
+        calls.append(p)
+        if len(calls) == 1:
+            assert kept[-1] == 3
+            return kept[:-1], np.hstack([deps[:-1], np.zeros((len(kept) - 1, 1))])
+        return kept, deps
+
+    monkeypatch.setattr(xl, "_select_mod_p", faked)
+    kept, exps, used = xl.select_rows(nums, expand_flags=flags)
+    assert kept == [0, 1, 3] == brute_select(nums)
+    assert exps == {2: [Q(2), Q(3), Q(0)]}
+    assert used == 2 and len(calls) == 2
+
+
+def _spy_exact_hold(monkeypatch):
+    real = xl._exact_hold
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(xl, "_exact_hold", spy)
+    return calls
+
+
+@pytest.mark.parametrize("block", [1 << 13, 2])
+def test_expansions_hold_modular_branch(monkeypatch, block):
+    # small entries: the bound lies below the product of the check primes;
+    # a block of 2 kept rows exercises the blocked product
+    monkeypatch.setattr(xl, "_CHECK_BLOCK", block)
+    exact = _spy_exact_hold(monkeypatch)
+    nums, dens = _low_rank(31, 20, 12, 6)
+    kept, values, index = xl._lift(
+        [xl._select_mod_p(xl.mod_rows(nums, dens, p), p) for p in xl.PRIMES[:2]],
+        xl.PRIMES[:2],
+    )
+    assert kept == brute_select(_frac_rows(nums, dens))
+    assert xl._expansions_hold(nums, dens, kept, values, index)
+    u = index.max()
+    wrong = values[:u] + [values[u] + Q(1, 7)] + values[u + 1 :]
+    assert not xl._expansions_hold(nums, dens, kept, wrong, index)
+    assert exact == []
+
+
+def test_expansions_hold_exact_branch_above_the_bound(monkeypatch):
+    # coprime 61-bit denominators and 62-bit numerators push the bound
+    # above the product of all check primes, so the rows are compared in
+    # Python integers
+    exact = _spy_exact_hold(monkeypatch)
+    d0, d1, a = 2**61 - 1, 2**60 + 1, 2**62 - 1
+    nums = np.array([[a, 0], [a, 0], [0, 1]], dtype=np.int64)
+    kept, exps, used = xl.select_rows(nums, [d0, d1, 1], [True, True, True])
+    assert kept == [0, 2]
+    assert exps == {1: [Q(d0, d1), Q(0)]}
+    # rungs 1 to 3 lift wrong fractions and are refused; the bounds of
+    # rungs 3 and 5 lie above the product of the check primes
+    assert used == 5
+    assert len(exact) == 2
+    values = [Q(0), Q(d0, d1) + Q(1, 2**62)]
+    assert not xl._expansions_hold(
+        nums, np.array([d0, d1, 1]), kept, values, np.array([[1, 0]])
+    )
+    assert len(exact) == 3
 
 
 # --- residue reduction without fmod --------------------------------------------
