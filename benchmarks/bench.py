@@ -1,17 +1,19 @@
 """Cold exact assembly, one fresh process per run, for one or more source trees.
 
-    python3 benchmarks/bench.py --tree change=src --out BENCH_6.json
+    python3 benchmarks/bench.py --tree change=src --out BENCH_7.json
     python3 benchmarks/bench.py --tree parent=../old/src --tree change=src \
-        --repeat 3 --out BENCH_6.json
+        --repeat 3 --out BENCH_7.json
 
 Each run is `build_complex(p, gt, use_cache=False)` in a new interpreter,
 for p in --degrees and the four boundary selections.  A run records the wall
-time of the call and the time spent in `exactlin.select_rows` (calls and
-primes used per call).  With several trees, the trees of one repeat run in
-alternating order.  The output holds every run, the per-tree medians and
-the facts of the machine: nproc, Python, numpy, BLAS and its thread pin,
-and the rational backend of each tree.  OpenBLAS is pinned to at most two
-threads, as in perfbench.
+time of the call, the time spent in `exactlin.select_rows` (calls and
+primes used per call), the number of `_assemble_level` calls, and the dims,
+ranks, kernel dims, harmonic dims and `meta` of the complex.  With several
+trees, the trees of one repeat run in alternating order.  The output holds
+every run, the per-tree medians, whether all runs of each (p, selection)
+agree on those integers and `meta`, and the facts of the machine: nproc,
+Python, numpy, BLAS and its thread pin, and the rational backend of each
+tree.  OpenBLAS is pinned to at most two threads, as in perfbench.
 """
 
 import argparse
@@ -23,6 +25,7 @@ import sys
 from pathlib import Path
 
 SELECTIONS = ("none", "X0", "X0,X1", "all")
+RESULT_KEYS = ("dims", "ranks", "kernel_dims", "harmonic_dims", "meta")
 BLAS_THREADS = str(min(2, len(os.sched_getaffinity(0))))
 
 # run in the child: time one cold assembly and the selections inside it
@@ -42,6 +45,14 @@ def timed(*args, **kwargs):
     return result
 
 exactlin.select_rows = timed
+levels = []
+assemble_level = ea._assemble_level
+
+def counted(*args, **kwargs):
+    levels.append(args[1])
+    return assemble_level(*args, **kwargs)
+
+ea._assemble_level = counted
 start = time.perf_counter()
 ec = ea.build_complex(p, gt, use_cache=False)
 wall = time.perf_counter() - start
@@ -53,6 +64,10 @@ print(json.dumps({
     "primes_used": [n for _, n in spans],
     "dims": list(ec.dims),
     "ranks": list(ec.ranks),
+    "kernel_dims": list(ec.kernel_dims),
+    "harmonic_dims": list(ec.harmonic_dims),
+    "meta": ec.meta,
+    "levels_assembled": len(levels),
     "facts": {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
@@ -99,8 +114,16 @@ def main(argv=None):
                     rec.update(tree=label, p=p, gt=gt, repeat=rep)
                     runs.append(rec)
                     print(
-                        "%-8s p=%d %-6s wall %6.2f s  select_rows %6.2f s  primes %s"
-                        % (label, p, gt, rec["wall_s"], rec["select_rows_s"], rec["primes_used"]),
+                        "%-8s p=%d %-6s wall %6.2f s  select_rows %6.2f s  levels %d  primes %s"
+                        % (
+                            label,
+                            p,
+                            gt,
+                            rec["wall_s"],
+                            rec["select_rows_s"],
+                            rec["levels_assembled"],
+                            rec["primes_used"],
+                        ),
                         flush=True,
                     )
     medians = {}
@@ -112,6 +135,18 @@ def main(argv=None):
                     key: round(statistics.median(r[key] for r in mine), 3)
                     for key in ("wall_s", "select_rows_s")
                 }
+    agree = {
+        "%d %s" % (p, gt): len(
+            {
+                json.dumps([r[k] for k in RESULT_KEYS], sort_keys=True)
+                for r in runs
+                if (r["p"], r["gt"]) == (p, gt)
+            }
+        )
+        == 1
+        for p in args.degrees
+        for gt in SELECTIONS
+    }
     facts = {label: next(r["facts"] for r in runs if r["tree"] == label) for label, _ in trees}
     doc = {
         "trees": [label for label, _ in trees],
@@ -120,6 +155,7 @@ def main(argv=None):
         "machine": {"nproc": len(os.sched_getaffinity(0)), "blas_threads": int(BLAS_THREADS)},
         "facts": facts,
         "medians": medians,
+        "results_agree": agree,
         "runs": [{k: v for k, v in r.items() if k != "facts"} for r in runs],
     }
     args.out.write_text(dump(doc))

@@ -12,6 +12,7 @@ Exit codes: 0 pass, 1 verification failure, 2 usage or config error.
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -120,9 +121,11 @@ def _resolve_config(args):
         raise ConfigError("format must be json or csv, got %r" % (cfg.format,))
     if cfg.tol_rank is not None:
         cfg.tol_rank = float(cfg.tol_rank)
-        if cfg.tol_rank <= 0:
-            raise ConfigError("tol-rank must be positive")
+        if not 0 < cfg.tol_rank < math.inf:
+            raise ConfigError("tol-rank must be positive and finite")
     cfg.tol = float(cfg.tol)
+    if not 0 < cfg.tol < math.inf:
+        raise ConfigError("tol must be positive and finite")
     try:
         BoundarySelection.parse(cfg.gt)
     except ValueError as exc:
@@ -496,21 +499,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return _COMMANDS[cfg.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, DegreeTooLow) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except DegreeTooLow as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except fa.DimensionMismatch as exc:
-        print("verification failure: %s" % exc, file=sys.stderr)
-        return EXIT_FAIL
-    except (AssemblyError, fa.SolverFailure, fa.NotSPD) as exc:
+    except (fa.DimensionMismatch, AssemblyError, fa.SolverFailure, fa.NotSPD) as exc:
         print("verification failure: %s" % exc, file=sys.stderr)
         return EXIT_FAIL
 

@@ -11,8 +11,11 @@ matrices are exact rational matrices.  The inclusions R(A_k) <= V_{k+1} hold
 by construction: the images of the level-k basis fields are themselves used
 as basis candidates for level k+1 (ahead of the generator fields), so an
 image is either a basis vector of the next level or an exactly verified
-rational combination of earlier image basis vectors.  As a consequence the
-compositions A1*A0 and A2*A1 vanish identically at the rational stage.
+rational combination of earlier image basis vectors.  The chain is
+assembled in one pass; strain potentials that close the level-1 cohomology
+are then adjoined to V0, and their images are exactly verified combinations
+of V1's generator basis vectors.  As a consequence the compositions A1*A0
+and A2*A1 vanish identically at the rational stage.
 
 Candidate fields travel through the chain as integer rows: int64
 coefficients on the ambient monomial grid with one denominator per row.
@@ -173,18 +176,12 @@ def univariate_factor_basis(degree, m0, m1):
                 coeffs = [c - factor * p for c, p in zip(coeffs, prev)]
         norm = _uni_inner(coeffs, coeffs)
         done.append((coeffs, norm))
-        den = 1
-        for c in coeffs:
-            den = den * c.denominator // math.gcd(den, int(c.denominator))
+        den = math.lcm(*(int(c.denominator) for c in coeffs))
         ints = [int(c * den) for c in coeffs]
-        lead = next(c for c in reversed(ints) if c != 0)
-        if lead < 0:
-            ints = [-c for c in ints]
-        g = 0
-        for c in ints:
-            g = math.gcd(g, c)
-        if g > 1:
-            ints = [c // g for c in ints]
+        g = math.gcd(*ints)
+        if next(c for c in reversed(ints) if c != 0) < 0:
+            g = -g
+        ints = [c // g for c in ints]
         basis.append(tuple(ints))
         norms.append(_uni_inner([Q(c) for c in ints], [Q(c) for c in ints]))
     result = (tuple(basis), tuple(norms))
@@ -352,9 +349,9 @@ def _integer_rows(coord_dicts, width):
     nums = np.zeros((len(coord_dicts), width), dtype=np.int64)
     dens = []
     for i, coords in enumerate(coord_dicts):
-        den = 1
-        for q in coords.values():
-            den = den * q.denominator // math.gcd(den, int(q.denominator))
+        den = math.lcm(*(int(q.denominator) for q in coords.values()))
+        if den >= _COORD_LIMIT:
+            raise AssemblyError("coordinate denominator exceeds 62 bits")
         dens.append(den)
         for j, q in coords.items():
             num = int(q * den)
@@ -599,10 +596,6 @@ def _l2_norms(kind, nums, dens, nvar):
     return np.concatenate(norms)
 
 
-def _pow2(k):
-    return Q(2**k) if k >= 0 else Q(1, 2 ** (-k))
-
-
 # ---------------------------------------------------------------------------
 # exact operator matrices
 # ---------------------------------------------------------------------------
@@ -631,15 +624,9 @@ class ExactOperator:
         """Apply to an exact coefficient vector {index: rational}."""
         out = {}
         for j, q in vec.items():
-            if q == 0:
-                continue
-            for r, v in self.column(j).items():
-                acc = out.get(r, Q(0)) + q * v
-                if acc == 0:
-                    out.pop(r, None)
-                else:
-                    out[r] = acc
-        return out
+            for r, v in self.cols[j]:
+                out[r] = out.get(r, 0) + q * v
+        return {r: v for r, v in out.items() if v != 0}
 
     def compose_is_zero(self, first):
         """Whether self o first vanishes identically (exact arithmetic)."""
@@ -743,7 +730,7 @@ def _normalized_level(kind, nums, dens, provenance, nvar):
         provenance=tuple(provenance),
         nvar=nvar,
     )
-    return level, [_pow2(k) for k in ks.tolist()]
+    return level, [Q(2) ** k for k in ks.tolist()]
 
 
 def _assemble_level(prev_level, op_name, generators, nvar):
@@ -972,6 +959,9 @@ class ElasticityComplex:
     exact integers: a kept image certifies independence through modular
     elimination, and a discarded image carries an exactly verified rational
     expansion, so rank A_k equals the number of kept images at level k+1.
+    Potentials adjoined to V0 add `adjoined_images` to stats[0]: their
+    images are independent expansions over V1 generators rather than V1
+    basis vectors, and count in `kept_images` and `nonzero_images`.
     """
 
     def __init__(self, p, bc, levels, ops, stats):
@@ -1041,16 +1031,11 @@ class ElasticityComplex:
         if g1 is None and g2 is None and "complex" in self._float:
             return self._float["complex"]
         grams = list(self.float_grams())
-        if g1 is not None:
-            g1 = np.asarray(g1, dtype=np.float64)
-            if g1.shape != (self.levels[1].dim,) * 2:
-                raise fa.DimensionMismatch("weight on V1 has the wrong shape")
-            grams[1] = g1
-        if g2 is not None:
-            g2 = np.asarray(g2, dtype=np.float64)
-            if g2.shape != (self.levels[2].dim,) * 2:
-                raise fa.DimensionMismatch("weight on V2 has the wrong shape")
-            grams[2] = g2
+        for k, g in ((1, g1), (2, g2)):
+            if g is not None:
+                grams[k] = np.asarray(g, dtype=np.float64)
+                if grams[k].shape != (self.levels[k].dim,) * 2:
+                    raise fa.DimensionMismatch("weight on V%d has the wrong shape" % k)
         ops = self._float.get("ops")
         if ops is None:
             ops = tuple(op.to_float() for op in self.ops)
@@ -1064,49 +1049,29 @@ class ElasticityComplex:
 _COMPLEX_CACHE = {}
 
 
-def _assemble_chain(p, bc, extras):
-    """One assembly pass; `extras` are additional exact V0 fields."""
+# per operator: generator kind, degree below p, and vanishing order
+_GENERATORS = {
+    "sym_grad": ("symmetric-tensor", 1, 2),
+    "rotrot_t": ("symmetric-tensor", 3, 1),
+    "Div": ("vector", 4, 0),
+}
+
+
+def _assemble_chain(p, bc):
+    """One assembly pass of the chain from the degree-p spaces."""
     nvar = p + 1
-    v0 = build_space("vector", p, bc, 1)
-    nvar0 = nvar
-    for f in extras:
-        for poly in _field_components(f, "vector"):
-            for (a, b, c) in poly.terms:
-                nvar0 = max(nvar0, a + 1, b + 1, c + 1)
-    nums = _space_rows(v0, nvar0)
-    dens = np.ones(len(nums), dtype=np.int64)
-    if extras:
-        extra_nums, extra_dens = _integer_rows(
-            [_exact_coords(f, "vector", nvar0) for f in extras], 3 * nvar0**3
-        )
-        if max(extra_dens) >= _COORD_LIMIT:
-            raise AssemblyError("coordinate denominator exceeds 62 bits")
-        nums = np.vstack([nums, extra_nums])
-        dens = np.concatenate([dens, np.array(extra_dens, dtype=np.int64)])
-    level0, _ = _normalized_level(
-        "vector", nums, dens, [("generator", g) for g in range(len(nums))], nvar0
-    )
-    level1, a0, s0 = _assemble_level(
-        level0,
-        "sym_grad",
-        _generator_space("symmetric-tensor", p - 1, bc, 2),
-        nvar,
-    )
-    level2, a1, s1 = _assemble_level(
-        level1,
-        "rotrot_t",
-        _generator_space("symmetric-tensor", p - 3, bc, 1),
-        nvar,
-    )
-    level3, a2, s2 = _assemble_level(
-        level2,
-        "Div",
-        _generator_space("vector", p - 4, bc, 0),
-        nvar,
-    )
-    return ElasticityComplex(
-        p, bc, [level0, level1, level2, level3], [a0, a1, a2], [s0, s1, s2]
-    )
+    nums = _space_rows(build_space("vector", p, bc, 1), nvar)
+    provenance = [("generator", g) for g in range(len(nums))]
+    ones = np.ones(len(nums), dtype=np.int64)
+    levels = [_normalized_level("vector", nums, ones, provenance, nvar)[0]]
+    ops, stats = [], []
+    for name, (kind, drop, order) in _GENERATORS.items():
+        generators = _generator_space(kind, p - drop, bc, order)
+        level, op, s = _assemble_level(levels[-1], name, generators, nvar)
+        levels.append(level)
+        ops.append(op)
+        stats.append(s)
+    return ElasticityComplex(p, bc, levels, ops, stats)
 
 
 def _kernel_overflow_fields(ec):
@@ -1146,6 +1111,61 @@ def _kernel_overflow_fields(ec):
     return fields
 
 
+def _adjoin_potentials(ec, extras):
+    """`ec` with the exact vector fields `extras` adjoined to V0.
+
+    V1..V3, A1 and A2 are kept.  Level 0 becomes `ec`'s level-0 rows,
+    unchanged on the extras' grid, then the extras' rows, which alone are
+    normalised.  Each extra's image must be dependent on V1's generator
+    rows; its expansion over them is its A0 column.  Those rows are
+    independent of V1's image rows, so coefficient rows of rank len(extras)
+    certify rank A0 = rank of `ec`'s A0 + len(extras).
+    """
+    level0, level1 = ec.levels[0], ec.levels[1]
+    terms = (e for f in extras for q in _field_components(f, "vector") for e in q.terms)
+    nvar0 = max([level0.nvar] + [1 + max(e) for e in terms])
+    nums, dens = _integer_rows(
+        [_exact_coords(f, "vector", nvar0) for f in extras], 3 * nvar0**3
+    )
+    provenance = [("generator", level0.dim + e) for e in range(len(extras))]
+    dens = np.array(dens, dtype=np.int64)
+    added, _ = _normalized_level("vector", nums, dens, provenance, nvar0)
+    nums, dens = _images(
+        added.nums, added.dens, "sym_grad", "vector", nvar0, level1.nvar
+    )
+    gen = [pos for pos, prov in enumerate(level1.provenance) if prov[0] == "generator"]
+    kept, expansions, _ = _select_exact(
+        np.vstack([level1.nums[gen], nums]),
+        np.concatenate([level1.dens[gen], dens]),
+        np.arange(len(gen) + len(extras)) >= len(gen),
+    )
+    if list(kept) != list(range(len(gen))):
+        raise AssemblyError("potential image outside the span of the V1 generators")
+    cols = [
+        {gen[j]: c for j, c in enumerate(expansions[len(gen) + e]) if c != 0}
+        for e in range(len(extras))
+    ]
+    if len(_select_exact(*_integer_rows(cols, level1.dim), None)[0]) < len(extras):
+        raise AssemblyError("adjoined potentials with dependent images")
+    nums = np.zeros((level0.dim + added.dim, 3 * nvar0**3), dtype=np.int64)
+    nums[: level0.dim, _grid_columns(3, level0.nvar, nvar0)] = level0.nums
+    nums[level0.dim :] = added.nums
+    dens = np.concatenate([level0.dens, added.dens])
+    nums.flags.writeable = dens.flags.writeable = False
+    level0 = ComplexLevel(
+        "vector", nums, dens, level0.provenance + added.provenance, nvar0
+    )
+    a0 = ExactOperator(
+        level1.dim, level0.dim, ec.ops[0].cols + tuple(tuple(c.items()) for c in cols)
+    )
+    s0 = dict(ec.stats[0], adjoined_images=len(extras))
+    s0["nonzero_images"] += len(extras)
+    s0["kept_images"] += len(extras)
+    return ElasticityComplex(
+        ec.p, ec.bc, (level0,) + ec.levels[1:], (a0,) + ec.ops[1:], (s0,) + ec.stats[1:]
+    )
+
+
 def build_complex(p, gt="none", use_cache=True):
     """Assemble the discrete elasticity complex of degree p on the box.
 
@@ -1158,16 +1178,13 @@ def build_complex(p, gt="none", use_cache=True):
     space collapses merely because the factor does not fit.  Degrees below
     4 cannot carry the chain.
 
-    After a first pass, any exact kernel of A1 beyond R(A0) is integrated
-    by the Cesaro-Volterra formula; every combination of the potentials
-    that the boundary conditions admit (up to rigid-motion corrections) is
-    adjoined to V0 and the chain is reassembled, so the level-1 cohomology
-    dimension reflects the geometry rather than a degree-truncation
-    artifact.  The new images already lie in the generator span, so the
-    enlargement leaves the dimensions and spans of V1..V3 unchanged, but not
-    their bases: the images now come first among the candidates and take
-    the place of generators (for p=4 and X0 the kept V1 generators drop
-    from 140 to 138), and the provenance of V2 changes with them.
+    The chain is assembled once.  Any exact kernel of A1 beyond R(A0) is
+    then integrated by the Cesaro-Volterra formula, and every combination of
+    the potentials that the boundary conditions admit (up to rigid-motion
+    corrections) is adjoined to V0, so the level-1 cohomology dimension
+    reflects the geometry rather than a degree-truncation artifact.  Their
+    images lie in the span of V1's generator rows, so only level 0 and A0
+    grow (`_adjoin_potentials`); V1..V3, A1 and A2 stay as assembled.
 
     The levels hold integer rows only; the overflow step builds just the
     level-1 generator fields it combines, and the exact coordinates and
@@ -1179,23 +1196,19 @@ def build_complex(p, gt="none", use_cache=True):
     key = (p, bc.faces)
     if use_cache and key in _COMPLEX_CACHE:
         return _COMPLEX_CACHE[key]
-    ec = _assemble_chain(p, bc, [])
+    ec = _assemble_chain(p, bc)
     overflow = _kernel_overflow_fields(ec)
-    added = 0
-    rejected = 0
+    extras = []
     if overflow:
         potentials = [saint_venant_potential(S) for S in overflow]
         extras = _face_compatible_combinations(potentials, bc)
-        added = len(extras)
-        rejected = len(overflow) - added
-        if extras:
-            ec = _assemble_chain(p, bc, extras)
-    meta = {
+    if extras:
+        ec = _adjoin_potentials(ec, extras)
+    ec.meta = {
         "first_pass_level1_overflow": len(overflow),
-        "potentials_added": added,
-        "potentials_rejected": rejected,
+        "potentials_added": len(extras),
+        "potentials_rejected": len(overflow) - len(extras),
     }
-    ec.meta = meta
     if not ec.verify_complex_property():
         raise AssemblyError("assembled operators do not compose to zero")
     if use_cache:
@@ -1305,22 +1318,13 @@ def rigid_motion_coordinates(space):
                         "space with constraints %s does not contain the rigid"
                         " motions" % space.bc.label
                     )
-                for i, cx in enumerate(ex):
-                    if cx == 0:
-                        continue
-                    for j, cy in enumerate(ey):
-                        if cy == 0:
-                            continue
-                        for k, cz in enumerate(ez):
-                            if cz == 0:
-                                continue
-                            idx = comp * block + (i * ny + j) * nz + k
-                            val = col.get(idx, Q(0)) + cx * cy * cz
-                            if val == 0:
-                                col.pop(idx, None)
-                            else:
-                                col[idx] = val
-        columns.append(col)
+                nonzero = (
+                    [(i, c) for i, c in enumerate(e) if c != 0] for e in (ex, ey, ez)
+                )
+                for (i, cx), (j, cy), (k, cz) in itertools.product(*nonzero):
+                    idx = comp * block + (i * ny + j) * nz + k
+                    col[idx] = col.get(idx, 0) + cx * cy * cz
+        columns.append({i: q for i, q in col.items() if q != 0})
     return columns
 
 

@@ -86,10 +86,6 @@ class InnerProduct:
     def norm(self, x):
         return float(np.sqrt(max(self.inner(x, x), 0.0)))
 
-    def to_orthonormal(self, X):
-        """Coordinates y = L^T x (isometry to the unweighted dot product)."""
-        return self.L.T @ X
-
     def from_orthonormal(self, Y):
         return solve_triangular(self.L.T, Y, lower=False) if self.dim else Y
 

@@ -16,12 +16,12 @@ import pytest
 from elacomplex.rational import qstr
 
 DIGESTS = {
-    (4, "none"): "91256020a5d4acf8aeca4e2928741d03b52c00afd5d5ef26ecfa622a81879011",
-    (4, "X0"): "84bc11dce45b43dc8ea060d00ae6cf491f661dd5b83cb13a6f4b5edd8feec49f",
+    (4, "none"): "c0641c918bfb94e522295906f23148cb53ae7e5d89e6b359874591e65d9b14b6",
+    (4, "X0"): "3c8ba2001db8b61fb88d13e078f072a1f66e64cb1c4c8374aeb31ad6dcd2b980",
     (4, "X0,X1"): "26a5cffb1592ccedebf5e2699aa54b75b186ea84cf9c14984f9cbe635f343755",
     (4, "all"): "a42d9d0f29cdc96b48651c0cc5be8d05119c432c2a50dd2c12861b01e8405599",
-    (5, "none"): "b9b38afb73fb27eb05671067eea2eab5648067e1c21b6747518937eb0f78d269",
-    (5, "X0"): "33cbeff2faabfbea7fe5250d102411def961d19e499fea32d7decf4133c301a2",
+    (5, "none"): "fbe232b9265a95310e17cb3c740cc6a5ede0d7faefbf534ab0fa38d0e703d779",
+    (5, "X0"): "442157247e7c6cd90832c7bf50e33524ba08c66ec9158d9a110bb7cec018af80",
     (5, "X0,X1"): "41dc2d4f864b8a96ddef473ef981e3af2eddab6fdacfdffca87b95b0efa29c71",
     (5, "all"): "7bb79691784f37e9898e49b23a140f8157fb9725445a7979dfbf7ce0ab46f37b",
 }

@@ -361,6 +361,43 @@ def test_config_rejects_bad_values(capsys):
     assert "weights must be" in err
 
 
+_BAD_TOLERANCES = [
+    ("tol", "nan"),
+    ("tol", "inf"),
+    ("tol", "-inf"),
+    ("tol", "0"),
+    ("tol", "-1"),
+    ("tol_rank", "nan"),
+    ("tol_rank", "inf"),
+    ("tol_rank", "0"),
+]
+
+
+@pytest.mark.parametrize("command", ["helmholtz", "complex"])
+@pytest.mark.parametrize("name,value", _BAD_TOLERANCES)
+def test_bad_tolerance_flag_is_a_config_error(tmp_path, capsys, command, name, value):
+    out = tmp_path / "report.json"
+    flag = name.replace("_", "-")
+    code, _, err = run_cli(
+        capsys, command, "--p", "4", "--gt", "all", "--%s=%s" % (flag, value),
+        "--out", str(out),
+    )
+    assert code == 2
+    assert "config error: %s must be positive and finite" % flag in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,value", _BAD_TOLERANCES)
+def test_bad_tolerance_in_config_file_is_a_config_error(tmp_path, capsys, name, value):
+    # Python's json reads (and writes) NaN, Infinity and -Infinity
+    path = tmp_path / "tol.json"
+    path.write_text(json.dumps({"p": 4, "gt": "all", name: float(value)}))
+    code, out, err = run_cli(capsys, "helmholtz", "--config", str(path))
+    assert code == 2
+    assert "config error" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "command,config",
     [

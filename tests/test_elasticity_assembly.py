@@ -372,9 +372,9 @@ _CHAIN_OPS = (pc.sym_grad, pc.rotrot_t, pc.Div)
 
 
 def test_operator_columns_reconstruct_images_exactly(complexes_p4):
-    # every column of all three operators; X0 carries the extra V0 fields of
-    # the second chain pass
-    for gt in ("X0", "X0,X1"):
+    # every column of all three operators; none and X0 carry adjoined V0
+    # fields (6 and 2), whose A0 columns are expansions over V1 generators
+    for gt in ("none", "X0", "X0,X1"):
         ec = complexes_p4[gt]
         for k, (op_fun, op) in enumerate(zip(_CHAIN_OPS, ec.ops)):
             prev, level = ec.levels[k], ec.levels[k + 1]
@@ -474,9 +474,80 @@ def test_image_outside_the_grid_is_an_assembly_error():
     rows = _rows([high], "vector", 7)
     with pytest.raises(ea.AssemblyError, match="ambient degree bound 4"):
         ea._images(*rows, "sym_grad", "vector", 7, 5)
-    # the same path through the chain: an extra V0 field of too high degree
+    # the same path through the enlargement: an adjoined V0 field of too
+    # high degree
+    first = ea._assemble_chain(4, ea.BoundarySelection.parse("all"))
     with pytest.raises(ea.AssemblyError, match="ambient degree bound 4"):
-        ea._assemble_chain(4, ea.BoundarySelection.parse("all"), [high])
+        ea._adjoin_potentials(first, [high])
+
+
+def test_adjoined_image_outside_the_generator_span_is_an_assembly_error():
+    # a V0 basis field's image lies in R(A0), spanned by V1's image rows,
+    # so over V1's generator rows alone it is kept, not expanded
+    first = ea._assemble_chain(4, ea.BoundarySelection.parse("all"))
+    with pytest.raises(ea.AssemblyError, match="outside the span"):
+        ea._adjoin_potentials(first, [first.levels[0].field(0)])
+
+
+def test_adjoined_fields_with_dependent_images_are_an_assembly_error():
+    # a translation has a zero image: it expands, but adds nothing to rank A0
+    first = ea._assemble_chain(4, ea.BoundarySelection.parse("all"))
+    translation = ea.rigid_motion_basis().fields[0]
+    with pytest.raises(ea.AssemblyError, match="dependent images"):
+        ea._adjoin_potentials(first, [translation])
+
+
+@pytest.mark.parametrize("gt", BOUNDARY_CONFIGS)
+def test_build_complex_assembles_each_level_once(monkeypatch, gt):
+    calls = []
+    assemble_level = ea._assemble_level
+
+    def spy(*args):
+        calls.append(args[1])
+        return assemble_level(*args)
+
+    monkeypatch.setattr(ea, "_assemble_level", spy)
+    ea.build_complex(4, gt, use_cache=False)
+    assert calls == ["sym_grad", "rotrot_t", "Div"]
+
+
+@pytest.mark.parametrize("gt", ["none", "X0"])
+def test_adjoining_potentials_enlarges_only_level_0(complexes_p4, gt):
+    first = ea._assemble_chain(4, ea.BoundarySelection.parse(gt))
+    ec = complexes_p4[gt]
+    added = ec.meta["potentials_added"]
+    assert added > 0
+    for old, new in zip(first.levels[1:], ec.levels[1:]):
+        assert np.array_equal(old.nums, new.nums)
+        assert np.array_equal(old.dens, new.dens)
+        assert (old.kind, old.provenance, old.nvar) == (
+            new.kind,
+            new.provenance,
+            new.nvar,
+        )
+    for old, new in zip(first.ops[1:], ec.ops[1:]):
+        assert (old.nrows, old.ncols, old.cols) == (new.nrows, new.ncols, new.cols)
+    assert ec.stats[1:] == first.stats[1:]
+    # level 0 begins with the first-pass rows, re-embedded on a larger grid
+    old0, new0 = first.levels[0], ec.levels[0]
+    n0 = old0.dim
+    assert new0.dim == n0 + added and new0.nvar == old0.nvar + 1
+    inside = ea._grid_columns(3, old0.nvar, new0.nvar)
+    assert np.array_equal(new0.nums[:n0, inside], old0.nums)
+    assert np.count_nonzero(new0.nums[:n0]) == np.count_nonzero(old0.nums)
+    assert np.array_equal(new0.dens[:n0], old0.dens)
+    for i in (0, n0 - 1):
+        assert (new0.field(i) - old0.field(i)).is_zero()
+    # A0 keeps its first-pass columns; the new ones raise its rank by added
+    assert ec.ops[0].cols[:n0] == first.ops[0].cols
+    generators = {
+        pos for pos, prov in enumerate(ec.levels[1].provenance) if prov[0] == "generator"
+    }
+    for col in ec.ops[0].cols[n0:]:
+        assert col and {r for r, _ in col} <= generators
+    assert ec.ranks[0] == first.ranks[0] + added
+    assert ec.stats[0]["adjoined_images"] == added
+    assert ec.stats[0]["kept_images"] == first.stats[0]["kept_images"] + added
 
 
 def test_image_product_guard_is_an_assembly_error():
