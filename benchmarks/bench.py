@@ -1,38 +1,66 @@
-"""Cold exact assembly, one fresh process per run, for one or more source trees.
+"""Cold runs, one fresh process each, for one or more source trees.
 
     python3 benchmarks/bench.py --tree change=src --out BENCH_7.json
     python3 benchmarks/bench.py --tree parent=../old/src --tree change=src \
         --repeat 3 --out BENCH_7.json
+    python3 benchmarks/bench.py --verbs --tree parent=../old/src \
+        --tree change=src --repeat 3 --out BENCH_8.json
 
-Each run is `build_complex(p, gt, use_cache=False)` in a new interpreter,
-for p in --degrees and the four boundary selections.  A run records the wall
-time of the call, the time spent in `exactlin.select_rows` (calls and
-primes used per call), the number of `_assemble_level` calls, and the dims,
-ranks, kernel dims, harmonic dims and `meta` of the complex.  With several
-trees, the trees of one repeat run in alternating order.  The output holds
-every run, the per-tree medians, whether all runs of each (p, selection)
-agree on those integers and `meta`, and the facts of the machine: nproc,
-Python, numpy, BLAS and its thread pin, and the rational backend of each
-tree.  OpenBLAS is pinned to at most two threads, as in perfbench.
+By default each run is `build_complex(p, gt, use_cache=False)` in a new
+interpreter, for p in --degrees and the four boundary selections.  A run
+records the wall time of the call, the time spent in `exactlin.select_rows`
+(calls and primes used per call), the number of `_assemble_level` calls,
+and the dims, ranks, kernel dims, harmonic dims and `meta` of the complex.
+
+With --verbs each run is one CLI call in a new interpreter instead, with
+the argument lists of the `toolbox` workload of perfbench (seed
+TOOLBOX_SEED; the voxel-box fixture is written where that workload puts
+it).  A verb run records the wall time of the whole process, including
+start-up, imports and, for the p=4 verbs, the exact assembly, with its exit
+code and the sha256 of its report.
+
+With several trees, the trees of one repeat run in alternating order.  The
+output holds every run, the per-tree medians, whether all runs of each case
+agree (on the integers and `meta`, or on exit code and report digest), and
+the facts of the machine: nproc, Python, numpy, BLAS and its thread pin, and
+the rational backend of each tree.  OpenBLAS is pinned to at most two
+threads, as in perfbench.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SELECTIONS = ("none", "X0", "X0,X1", "all")
 RESULT_KEYS = ("dims", "ranks", "kernel_dims", "harmonic_dims", "meta")
 BLAS_THREADS = str(min(2, len(os.sched_getaffinity(0))))
+ROOT = Path(__file__).resolve().parent.parent
+TOOLBOX_SEED = 1
+
+# the facts of a tree, as `facts`; the start of every child but a verb call
+FACTS = r"""
+import json, platform
+import numpy
+from elacomplex import rational
+blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+facts = {
+    "python": platform.python_version(),
+    "numpy": numpy.__version__,
+    "blas": "%s %s" % (blas.get("name"), blas.get("version")),
+    "rational_backend": "%s.%s" % (rational.Q.__module__, rational.Q.__qualname__),
+}
+"""
 
 # run in the child: time one cold assembly and the selections inside it
-CHILD = r"""
-import json, platform, sys, time
-import numpy
-from elacomplex import elasticity_assembly as ea, exactlin, rational
+CHILD = FACTS + r"""
+import sys, time
+from elacomplex import elasticity_assembly as ea, exactlin
 
 p, gt = int(sys.argv[1]), sys.argv[2]
 spans = []
@@ -56,7 +84,6 @@ ea._assemble_level = counted
 start = time.perf_counter()
 ec = ea.build_complex(p, gt, use_cache=False)
 wall = time.perf_counter() - start
-blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
 print(json.dumps({
     "wall_s": wall,
     "select_rows_s": sum(t for t, _ in spans),
@@ -68,21 +95,126 @@ print(json.dumps({
     "harmonic_dims": list(ec.harmonic_dims),
     "meta": ec.meta,
     "levels_assembled": len(levels),
-    "facts": {
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "blas": "%s %s" % (blas.get("name"), blas.get("version")),
-        "rational_backend": "%s.%s" % (rational.Q.__module__, rational.Q.__qualname__),
-    },
+    "facts": facts,
 }))
 """
 
 
+# run in a child: write the toolbox workload's voxel-box fixture, print the
+# argument lists of its CLI calls
+TOOLBOX_CALLS = r"""
+import json, sys
+from workloads import Toolbox
+
+toolbox = Toolbox(int(sys.argv[1]))
+toolbox.setup(last=False)
+print(json.dumps(toolbox.calls()))
+"""
+
+# run in a child: one CLI call
+VERB = r"""
+import sys
+from elacomplex import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+def _child_env(*paths):
+    return dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(map(str, paths)),
+        OPENBLAS_NUM_THREADS=BLAS_THREADS,
+    )
+
+
+def toolbox_calls(src):
+    """{name: argv} of the toolbox workload, after writing its fixture."""
+    out = subprocess.run(
+        [sys.executable, "-c", TOOLBOX_CALLS, str(TOOLBOX_SEED)],
+        env=_child_env(ROOT / "perfbench", src),
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def run_verb(src, argv):
+    """Wall time, exit code and report digest of one CLI call, cold."""
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-c", VERB, *argv],
+        env=_child_env(src),
+        cwd=ROOT,  # the fixture report echoes its root-relative path
+        capture_output=True,
+    )
+    return {
+        "wall_s": time.perf_counter() - start,
+        "exit": out.returncode,
+        "sha256": hashlib.sha256(out.stdout).hexdigest(),
+    }
+
+
+def verb_doc(trees, repeat):
+    calls = toolbox_calls(Path(trees[0][1]).resolve())
+    runs = []
+    for name in sorted(calls):
+        for rep in range(repeat):
+            order = trees if rep % 2 == 0 else trees[::-1]
+            for label, src in order:
+                rec = run_verb(Path(src).resolve(), calls[name])
+                rec.update(tree=label, verb=name, repeat=rep)
+                runs.append(rec)
+                print(
+                    "%-8s %-15s wall %6.2f s  exit %d  %s"
+                    % (label, name, rec["wall_s"], rec["exit"], rec["sha256"][:12]),
+                    flush=True,
+                )
+    medians = {
+        label: {
+            name: round(
+                statistics.median(
+                    r["wall_s"] for r in runs if (r["tree"], r["verb"]) == (label, name)
+                ),
+                3,
+            )
+            for name in sorted(calls)
+        }
+        for label, _ in trees
+    }
+    for per_verb in medians.values():
+        per_verb["total"] = round(sum(per_verb.values()), 3)
+    agree = {
+        name: len({(r["exit"], r["sha256"]) for r in runs if r["verb"] == name}) == 1
+        for name in sorted(calls)
+    }
+    facts = {}
+    for label, src in trees:
+        out = subprocess.run(
+            [sys.executable, "-c", FACTS + "print(json.dumps(facts))"],
+            env=_child_env(Path(src).resolve()),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        facts[label] = json.loads(out.stdout)
+    return {
+        "trees": [label for label, _ in trees],
+        "toolbox_seed": TOOLBOX_SEED,
+        "calls": calls,
+        "repeat": repeat,
+        "machine": {"nproc": len(os.sched_getaffinity(0)), "blas_threads": int(BLAS_THREADS)},
+        "facts": facts,
+        "medians": medians,
+        "digests_agree": agree,
+        "runs": runs,
+    }
+
+
 def run_one(src, p, gt):
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=BLAS_THREADS)
     out = subprocess.run(
         [sys.executable, "-c", CHILD, str(p), gt],
-        env=env,
+        env=_child_env(src),
         capture_output=True,
         text=True,
         check=True,
@@ -99,11 +231,19 @@ def main(argv=None):
         metavar="LABEL=SRC",
         help="a label and the src/ directory of a checkout; repeatable",
     )
+    parser.add_argument(
+        "--verbs",
+        action="store_true",
+        help="time the CLI calls of the toolbox workload instead of assembly",
+    )
     parser.add_argument("--degrees", type=int, nargs="+", default=[4, 5, 6])
     parser.add_argument("--repeat", type=int, default=1)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     trees = [tuple(t.split("=", 1)) for t in args.tree]
+    if args.verbs:
+        args.out.write_text(dump(verb_doc(trees, args.repeat)))
+        return
     runs = []
     for p in args.degrees:
         for gt in SELECTIONS:

@@ -412,6 +412,7 @@ def _space_rows(space, nvar):
 
 
 _OPERATORS = {
+    "Grad": "matrix",
     "sym_grad": "symmetric-tensor",
     "rotrot_t": "symmetric-tensor",
     "Div": "vector",
@@ -558,14 +559,11 @@ def _orthoframe_rows(X, ncomp, nvar, weights):
     return Z.reshape(K, -1).astype(np.float64)
 
 
-def _longdouble_coords(coord_dicts, width):
-    """Exact coordinate dictionaries as rows of a longdouble matrix, each
-    entry the correctly rounded quotient of its numerator and denominator."""
-    X = np.zeros((len(coord_dicts), width), dtype=np.longdouble)
-    for i, coords in enumerate(coord_dicts):
-        row = X[i]
-        for j, q in coords.items():
-            row[j] = np.longdouble(q.numerator) / np.longdouble(q.denominator)
+def _longdouble_rows(nums, dens):
+    """The rows nums[i] / dens[i] in longdouble, each entry the correctly
+    rounded quotient of its integer numerator and denominator."""
+    X = nums.astype(np.longdouble)
+    X /= dens.astype(np.longdouble)[:, None]
     return X
 
 
@@ -589,8 +587,7 @@ def _l2_norms(kind, nums, dens, nvar):
     """
     norms = []
     for i in range(0, max(len(nums), 1), _NORM_BLOCK):
-        X = nums[i : i + _NORM_BLOCK].astype(np.longdouble)
-        X /= dens[i : i + _NORM_BLOCK].astype(np.longdouble)[:, None]
+        X = _longdouble_rows(nums[i : i + _NORM_BLOCK], dens[i : i + _NORM_BLOCK])
         B = _orthoframe_rows(X, _KIND_COMPONENTS[kind], nvar, _KIND_WEIGHTS[kind])
         norms.append(np.linalg.norm(B, axis=1))
     return np.concatenate(norms)
@@ -1015,8 +1012,7 @@ class ElasticityComplex:
         if grams is None:
             grams = tuple(
                 _float_gram(
-                    level.nums.astype(np.longdouble)
-                    / level.dens.astype(np.longdouble)[:, None],
+                    _longdouble_rows(level.nums, level.dens),
                     _KIND_COMPONENTS[level.kind],
                     level.nvar,
                     _KIND_WEIGHTS[level.kind],
@@ -1337,15 +1333,6 @@ def _rigid_motion_matrix(space):
     return R
 
 
-def rm_projector(space):
-    """L2-orthogonal projector onto the rigid motions inside a FieldSpace."""
-    R = _rigid_motion_matrix(space)
-    g = np.array([float(q) for q in space.gram_diag])
-    GR = g[:, None] * R
-    M = R.T @ GR
-    return R @ np.linalg.solve(M, GR.T)
-
-
 # ---------------------------------------------------------------------------
 # Korn constant
 # ---------------------------------------------------------------------------
@@ -1382,24 +1369,16 @@ def korn_constant(p, gt="none"):
         raise DegreeTooLow("the Korn quotient needs degree >= 1, got %d" % p)
     space = build_space("vector", p, bc, 1)
     nvar = p + 1
-    grads = [pc.Grad(f) for f in space.fields]
-    syms = [pc.sym(S) for S in grads]
-    K = _float_gram(
-        _longdouble_coords(
-            [_exact_coords(S, "matrix", nvar) for S in grads], 9 * nvar**3
-        ),
-        9,
-        nvar,
-        _KIND_WEIGHTS["matrix"],
-    )
-    M = _float_gram(
-        _longdouble_coords(
-            [_exact_coords(S, "symmetric-tensor", nvar) for S in syms],
-            6 * nvar**3,
-        ),
-        6,
-        nvar,
-        _KIND_WEIGHTS["symmetric-tensor"],
+    rows = _space_rows(space, nvar)
+    ones = np.ones(len(rows), dtype=np.int64)
+    K, M = (
+        _float_gram(
+            _longdouble_rows(*_images(rows, ones, name, "vector", nvar, nvar)),
+            _KIND_COMPONENTS[kind],
+            nvar,
+            _KIND_WEIGHTS[kind],
+        )
+        for name, kind in (("Grad", "matrix"), ("sym_grad", "symmetric-tensor"))
     )
     restricted = not bc.faces
     if restricted:

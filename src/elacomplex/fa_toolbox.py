@@ -17,7 +17,7 @@ respect to those weighted inner products.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -53,6 +53,11 @@ class WrongCardinality(ValueError):
 
 def default_rank_tol(shape, smax, safety=100.0):
     return max(shape) * np.finfo(np.float64).eps * smax * safety
+
+
+def _used_tol(shape, s, tol):
+    """`tol`, or the default for the singular values s of a `shape` matrix."""
+    return default_rank_tol(shape, s[0] if s.size else 0.0) if tol is None else tol
 
 
 class InnerProduct:
@@ -114,6 +119,7 @@ class FiniteComplex:
                     "operator %d has shape %r, expected (%d, %d)"
                     % (i, A.shape, self.spaces[i + 1].dim, self.spaces[i].dim)
                 )
+        self._composition_norms = []
         for i in range(len(self.operators) - 1):
             comp = self.operators[i + 1] @ self.operators[i]
             m = float(np.max(np.abs(comp))) if comp.size else 0.0
@@ -122,6 +128,7 @@ class FiniteComplex:
                     "complex property violated at level %d: |A%dA%d|_max = %g"
                     % (i + 1, i + 1, i, m)
                 )
+            self._composition_norms.append(m)
 
     @property
     def dims(self):
@@ -139,12 +146,8 @@ class FiniteComplex:
         return np.zeros((0, self.spaces[-1].dim))
 
     def composition_norms(self):
-        return [
-            float(np.max(np.abs(self.operators[i + 1] @ self.operators[i])))
-            if (self.operators[i + 1] @ self.operators[i]).size
-            else 0.0
-            for i in range(len(self.operators) - 1)
-        ]
+        """max |A_{i+1} A_i| for each consecutive pair, as checked on entry."""
+        return list(self._composition_norms)
 
     def to_json_dict(self):
         return {
@@ -197,10 +200,7 @@ def kernel_basis(A, g, tol=None):
         A = np.zeros((1, n))
     At = _transformed(A, g)
     U, s, Vt = np.linalg.svd(At, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    if tol is None:
-        tol = default_rank_tol(At.shape, smax)
-    r = int(np.sum(s > tol))
+    r = int(np.sum(s > _used_tol(At.shape, s, tol)))
     Y = Vt[r:].T  # orthonormal kernel in transformed coordinates
     return g.from_orthonormal(Y)
 
@@ -208,18 +208,51 @@ def kernel_basis(A, g, tol=None):
 def rank_of(A, g_dom, g_cod, tol=None):
     At = _transformed(np.asarray(A, dtype=np.float64), g_dom)
     s = np.linalg.svd(At, compute_uv=False) if At.size else np.array([])
-    smax = s[0] if s.size else 0.0
-    if tol is None:
-        tol = default_rank_tol(At.shape if At.size else (1, 1), smax)
-    return int(np.sum(s > tol))
+    return int(np.sum(s > _used_tol(At.shape, s, tol)))
 
 
-@dataclass
+def _harmonic_constraints(cx, n):
+    """Rows whose common kernel is N(A_n) ∩ N(A_{n-1}*) at level n."""
+    g, A_n, A_prev = cx.gram(n), cx.op(n), cx.op(n - 1)
+    empty = np.zeros((1, g.dim))
+    # N(A_{n-1}*) = N(A_{n-1}^T G_n): no inverse Gram needed for the kernel
+    return np.vstack(
+        [A_n if A_n.size else empty, A_prev.T @ g.G if A_prev.size else empty]
+    )
+
+
 class CohomologyReport:
-    n: int
-    dimension: int
-    basis: np.ndarray  # columns, G_n-orthonormal
-    rank_tol: float
+    """The harmonic space N(A_n) ∩ N(A_{n-1}*) at level n of a complex.
+
+    `dimension` is the number of singular values of the stacked constraints
+    (in G_n-orthonormal coordinates) that are at most `rank_tol`.  `basis`
+    (columns, G_n-orthonormal) is built on first read by `kernel_basis` at
+    that same tolerance and kept in the complex's cache; it raises
+    SolverFailure if its width disagrees with `dimension`.
+    """
+
+    def __init__(self, cx, n, dimension, rank_tol):
+        self._cx = cx
+        self.n = n
+        self.dimension = dimension
+        self.rank_tol = rank_tol
+
+    @property
+    def basis(self):
+        key = ("harmonic_basis", self.n, self.rank_tol)
+        B = self._cx._cache.get(key)
+        if B is None:
+            g = self._cx.gram(self.n)
+            B = kernel_basis(
+                _harmonic_constraints(self._cx, self.n), g, tol=self.rank_tol
+            )
+            if B.shape[1] != self.dimension:
+                raise SolverFailure(
+                    "harmonic basis at level %d has %d columns, not %d"
+                    % (self.n, B.shape[1], self.dimension)
+                )
+            self._cx._cache[key] = B
+        return B
 
     def to_json_dict(self):
         return {
@@ -231,30 +264,16 @@ class CohomologyReport:
 
 
 def cohomology(cx, n, tol=None):
-    """Harmonic space N(A_n) ∩ N(A_{n-1}*) with a G_n-orthonormal basis."""
+    """Harmonic space N(A_n) ∩ N(A_{n-1}*); its basis is built on first read."""
     key = ("cohomology", n, tol)
-    if key in cx._cache:
-        return cx._cache[key]
-    g = cx.gram(n)
-    A_n = cx.op(n)
-    A_prev = cx.op(n - 1)
-    # N(A_{n-1}*) = N(A_{n-1}^T G_n): no inverse Gram needed for the kernel
-    stacked = np.vstack(
-        [
-            A_n if A_n.size else np.zeros((1, g.dim)),
-            A_prev.T @ g.G if A_prev.size else np.zeros((1, g.dim)),
-        ]
-    )
-    At = _transformed(stacked, g)
-    s = np.linalg.svd(At, compute_uv=False) if At.size else np.array([])
-    smax = s[0] if s.size else 0.0
-    used_tol = default_rank_tol(At.shape, smax) if tol is None else tol
-    basis = kernel_basis(stacked, g, tol=used_tol)
-    report = CohomologyReport(
-        n=n, dimension=basis.shape[1], basis=basis, rank_tol=used_tol
-    )
-    cx._cache[key] = report
-    return report
+    if key not in cx._cache:
+        g = cx.gram(n)
+        At = _transformed(_harmonic_constraints(cx, n), g)
+        s = np.linalg.svd(At, compute_uv=False) if At.size else np.array([])
+        used_tol = _used_tol(At.shape, s, tol)
+        cx._cache[key] = (g.dim - int(np.sum(s > used_tol)), used_tol)
+    dimension, used_tol = cx._cache[key]
+    return CohomologyReport(cx, n, dimension, used_tol)
 
 
 def harmonic_projector(cx, n, tol=None):
@@ -300,8 +319,7 @@ def helmholtz(x, cx, n, tol=1e-10):
                 return np.zeros((g.dim, 0))
             Mt = g.L.T @ M
             U, s, _ = np.linalg.svd(Mt, full_matrices=False)
-            smax = s[0] if s.size else 0.0
-            r = int(np.sum(s > default_rank_tol(Mt.shape, smax)))
+            r = int(np.sum(s > _used_tol(Mt.shape, s, None)))
             return U[:, :r]
 
         astar = (
@@ -385,8 +403,7 @@ def poincare_constant(A, g_dom, g_cod, label="A", tol=None):
         raise DimensionMismatch("operator/Gram shapes disagree")
     At = g_cod.L.T @ _transformed(A, g_dom)
     U, s, Vt = np.linalg.svd(At)
-    smax = s[0] if s.size else 0.0
-    used_tol = default_rank_tol(At.shape, smax) if tol is None else tol
+    used_tol = _used_tol(At.shape, s, tol)
     positive = s[s > used_tol]
     if not positive.size:
         raise ZeroOperator("operator is numerically zero")
@@ -441,8 +458,7 @@ def reduced_inverse(A, g_dom, g_cod, tol=None):
     A = np.asarray(A, dtype=np.float64)
     At = g_cod.L.T @ _transformed(A, g_dom)
     U, s, Vt = np.linalg.svd(At, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    used_tol = default_rank_tol(At.shape if At.size else (1, 1), smax) if tol is None else tol
+    used_tol = _used_tol(At.shape, s, tol)
     inv = np.where(s > used_tol, 1.0 / np.where(s > used_tol, s, 1.0), 0.0)
     Pt = (Vt.T * inv) @ U.T
     # undo the congruence on both sides

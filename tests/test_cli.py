@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elacomplex import cli
+from elacomplex import fa_toolbox as fa
 from elacomplex.elasticity_assembly import AssemblyError
 
 
@@ -183,6 +184,17 @@ def test_fixture_builtin_torus(capsys):
     assert code == 0
     res = json.loads(out)["results"]
     assert res["betti"] == [1, 1, 0, 0]
+
+
+def test_fixture_reads_betti_numbers_without_a_kernel_basis(capsys, monkeypatch):
+    calls = []
+    kernel_basis = fa.kernel_basis
+    monkeypatch.setattr(
+        fa, "kernel_basis", lambda *a, **k: calls.append(a) or kernel_basis(*a, **k)
+    )
+    code, out, _ = run_cli(capsys, "fixture", "--fixture", "torus", "--trials", "2")
+    assert code == 0 and json.loads(out)["results"]["betti"] == [1, 1, 0, 0]
+    assert calls == []
 
 
 def _solid_box_data():

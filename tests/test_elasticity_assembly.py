@@ -176,9 +176,11 @@ def test_rigid_motion_coordinates_need_unconstrained_space():
 
 
 def test_rm_projector_properties():
+    # the L2-orthogonal projector onto the rigid motions inside the space
     space = ea.build_space("vector", 2, "none", 1)
-    P = ea.rm_projector(space)
+    R = ea._rigid_motion_matrix(space)
     G = np.diag([float(q) for q in space.gram_diag])
+    P = R @ np.linalg.solve(R.T @ G @ R, R.T @ G)
     assert np.linalg.matrix_rank(P) == 6
     assert np.max(np.abs(P @ P - P)) < 1e-10
     # G-self-adjoint: G P = P^T G
@@ -292,6 +294,17 @@ def test_face_compatible_reconstruction_failure_is_assembly_error(monkeypatch):
 # --- float frames -------------------------------------------------------------
 
 
+def _longdouble_coords(coord_dicts, width):
+    """Exact coordinate dictionaries as rows of a longdouble matrix, each
+    entry the correctly rounded quotient of its numerator and denominator:
+    the oracle for the integer-row conversion."""
+    X = np.zeros((len(coord_dicts), width), dtype=np.longdouble)
+    for i, coords in enumerate(coord_dicts):
+        for j, q in coords.items():
+            X[i, j] = np.longdouble(q.numerator) / np.longdouble(q.denominator)
+    return X
+
+
 def test_legendre_frame_is_orthonormal():
     nvar = 7
     W = ea._legendre_frame(nvar)
@@ -307,7 +320,7 @@ def test_legendre_frame_is_orthonormal():
 def test_float_gram_matches_exact_integrals():
     space = ea.build_space("vector", 2, "X0", 1)
     coords = [ea._exact_coords(f, "vector", 3) for f in space.fields]
-    X = ea._longdouble_coords(coords, 3 * 3**3)
+    X = _longdouble_coords(coords, 3 * 3**3)
     G = ea._float_gram(X, 3, 3, ea._KIND_WEIGHTS["vector"])
     exact = np.diag([float(q) for q in space.gram_diag])
     assert np.max(np.abs(G - exact)) < 1e-14
@@ -405,7 +418,7 @@ def test_levels_hold_integer_rows_and_build_fields_lazily():
         with pytest.raises(ValueError):
             level.dens[0] = 1
     for level, G in zip(ec.levels, grams):
-        X = ea._longdouble_coords(level.coords, level.nums.shape[1])
+        X = _longdouble_coords(level.coords, level.nums.shape[1])
         ncomp = ea._KIND_COMPONENTS[level.kind]
         ref = ea._float_gram(X, ncomp, level.nvar, ea._KIND_WEIGHTS[level.kind])
         assert np.array_equal(G, ref)
@@ -416,6 +429,7 @@ def test_levels_hold_integer_rows_and_build_fields_lazily():
 _OPERATOR_CASES = [
     pytest.param(name, in_kind, op_fun, id=name)
     for name, in_kind, op_fun in (
+        ("Grad", "vector", pc.Grad),
         ("sym_grad", "vector", pc.sym_grad),
         ("rotrot_t", "symmetric-tensor", pc.rotrot_t),
         ("Div", "symmetric-tensor", pc.Div),
@@ -594,6 +608,49 @@ def test_korn_constant_monotone_in_degree():
 def test_korn_degree_too_low():
     with pytest.raises(ea.DegreeTooLow):
         ea.korn_constant(0, "none")
+
+
+def _korn_field_grams(p, gt):
+    """K and M of the Korn quotient from the polynomial fields of the space:
+    Grad and sym applied by poly_calculus, exact coordinates, longdouble
+    quotients."""
+    space = ea.build_space("vector", p, ea.BoundarySelection.parse(gt), 1)
+    nvar = p + 1
+    grads = [pc.Grad(f) for f in space.fields]
+    grams = []
+    for kind, tensors in (
+        ("matrix", grads),
+        ("symmetric-tensor", [pc.sym(S) for S in grads]),
+    ):
+        ncomp = ea._KIND_COMPONENTS[kind]
+        X = _longdouble_coords(
+            [ea._exact_coords(S, kind, nvar) for S in tensors], ncomp * nvar**3
+        )
+        grams.append(ea._float_gram(X, ncomp, nvar, ea._KIND_WEIGHTS[kind]))
+    return grams
+
+
+@pytest.mark.parametrize("gt", BOUNDARY_CONFIGS)
+def test_korn_grams_from_integer_rows_match_field_grams(monkeypatch, gt):
+    real_gram = ea._float_gram
+    for p in range(1, 6):
+        monkeypatch.undo()
+        K, M = _korn_field_grams(p, gt)
+        seen = []
+        monkeypatch.setattr(
+            ea, "_float_gram", lambda *args: seen.append(real_gram(*args)) or seen[-1]
+        )
+        if K.shape[0] == 0:
+            with pytest.raises(ea.DegreeTooLow):
+                ea.korn_constant(p, gt)
+            assert [G.shape for G in seen] == [(0, 0), (0, 0)]
+            continue
+        constant = ea.korn_constant(p, gt).constant
+        assert np.array_equal(seen[0], K) and np.array_equal(seen[1], M), p
+        # the same constant from the field Grams
+        field_grams = iter((K, M))
+        monkeypatch.setattr(ea, "_float_gram", lambda *args: next(field_grams))
+        assert ea.korn_constant(p, gt).constant == constant, p
 
 
 # --- level-1 cohomology reports ------------------------------------------------

@@ -3,6 +3,8 @@ import pytest
 
 from elacomplex import derham, fa_toolbox as fa
 
+from conftest import BOUNDARY_CONFIGS
+
 
 @pytest.fixture(scope="module")
 def torus():
@@ -106,6 +108,49 @@ def test_cohomology_dimension_weight_independent(torus):
         cx = fa.FiniteComplex(grams, torus.operators)
         dims = [fa.cohomology(cx, n).dimension for n in range(4)]
         assert dims == base_dims
+
+
+def test_cohomology_basis_width_is_the_dimension(torus, box, complexes_p4):
+    complexes = [torus, box] + [
+        complexes_p4[gt].finite_complex() for gt in BOUNDARY_CONFIGS
+    ]
+    for cx in complexes:
+        for n in range(len(cx.dims)):
+            rep = fa.cohomology(cx, n)
+            assert rep.basis.shape == (cx.dims[n], rep.dimension)
+
+
+def test_cohomology_json_dict_is_the_stacked_kernel(torus):
+    # the basis is the kernel of A_1 stacked on A_0^T G_1, at the tolerance
+    # set by the largest singular value of the stacked rows
+    rep = fa.cohomology(torus, 1)
+    g = torus.gram(1)
+    stacked = np.vstack([torus.op(1), torus.op(0).T @ g.G])
+    smax = np.linalg.svd(fa._transformed(stacked, g), compute_uv=False)[0]
+    assert rep.rank_tol == fa.default_rank_tol(stacked.shape, smax)
+    data = rep.to_json_dict()
+    assert list(data) == ["n", "dimension", "basis", "rank_tol"]
+    assert data == {
+        "n": 1,
+        "dimension": 1,
+        "basis": fa.kernel_basis(stacked, g, tol=rep.rank_tol).tolist(),
+        "rank_tol": rep.rank_tol,
+    }
+
+
+def test_cohomology_basis_width_mismatch_raises(torus):
+    cx = fa.FiniteComplex([g.G for g in torus.spaces], torus.operators)
+    rep = fa.cohomology(cx, 1)
+    forged = fa.CohomologyReport(cx, 1, rep.dimension + 1, rep.rank_tol)
+    with pytest.raises(fa.SolverFailure):
+        forged.basis
+
+
+def test_composition_norms_are_the_checked_products(torus, complexes_p4):
+    for cx in (torus, complexes_p4["X0"].finite_complex()):
+        A = cx.operators
+        expected = [float(np.max(np.abs(A[i + 1] @ A[i]))) for i in range(2)]
+        assert cx.composition_norms() == expected
 
 
 # --- Helmholtz ---------------------------------------------------------------
