@@ -190,8 +190,13 @@ def _emit_csv(cfg, header, rows):
 
 def cmd_verify_identities(cfg):
     only = None
-    if cfg.only:
+    if cfg.only is not None:
         only = [token.strip() for token in cfg.only.split(",") if token.strip()]
+        if not only:
+            raise ConfigError("only selects no identity id")
+        repeated = sorted({i for i in only if only.count(i) > 1})
+        if repeated:
+            raise ConfigError("only repeats %s" % ", ".join(repeated))
     try:
         reports = identity_suite.run_all(
             trials=cfg.trials, degree=cfg.degree, seed=cfg.seed, only=only

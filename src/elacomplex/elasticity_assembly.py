@@ -233,8 +233,10 @@ class FieldSpace:
                         for c, cc in enumerate(fz):
                             if cc == 0:
                                 continue
-                            terms[(a, b, c)] = Q(ca * cb * cc)
-                fields.append(_component_field(self.kind, comp, Poly3(terms)))
+                            terms[(a, b, c)] = ca * cb * cc
+                fields.append(
+                    _component_field(self.kind, comp, Poly3.from_num(terms))
+                )
         return tuple(fields)
 
 
@@ -329,49 +331,67 @@ def _field_components(field, kind):
     return tuple(field[i, j] for (i, j) in _MAT_ENTRIES)
 
 
-def _exact_coords(field, kind, nvar):
-    """Coefficients of a field on the monomial grid, {flat_index: rational}."""
+def _coord_row(field, kind, nvar):
+    """A field's coordinates on the monomial grid as ({flat_index: int}, den):
+    integer numerators over their least common denominator."""
+    polys = _field_components(field, kind)
+    den = math.lcm(*(poly.den for poly in polys))
     out = {}
     grid = nvar * nvar * nvar
-    for comp, poly in enumerate(_field_components(field, kind)):
+    for comp, poly in enumerate(polys):
         base = comp * grid
-        for (a, b, c), coeff in poly.terms.items():
+        scale = den // poly.den
+        for (a, b, c), n in poly.num.items():
             if a >= nvar or b >= nvar or c >= nvar:
                 raise AssemblyError(
                     "field exceeds the ambient degree bound %d" % (nvar - 1)
                 )
-            out[base + (a * nvar + b) * nvar + c] = coeff
-    return out
+            out[base + (a * nvar + b) * nvar + c] = n * scale
+    return out, den
+
+
+def _exact_coords(field, kind, nvar):
+    """Coefficients of a field on the monomial grid, {flat_index: rational}."""
+    row, den = _coord_row(field, kind, nvar)
+    return {j: Q(n, den) for j, n in row.items()}
+
+
+def _coord_rows(rows, width):
+    """Rows ({flat_index: int}, den) as int64 numerators plus the list of
+    row denominators, each below 2^62."""
+    nums = np.zeros((len(rows), width), dtype=np.int64)
+    dens = []
+    for i, (row, den) in enumerate(rows):
+        if den >= _COORD_LIMIT:
+            raise AssemblyError("coordinate denominator exceeds 62 bits")
+        if any(abs(n) >= _COORD_LIMIT for n in row.values()):
+            raise AssemblyError("coordinate numerator exceeds 62 bits")
+        dens.append(den)
+        nums[i, list(row)] = list(row.values())
+    return nums, dens
 
 
 def _integer_rows(coord_dicts, width):
     """Clear denominators per row; int64 numerators plus row denominators."""
-    nums = np.zeros((len(coord_dicts), width), dtype=np.int64)
-    dens = []
-    for i, coords in enumerate(coord_dicts):
+    rows = []
+    for coords in coord_dicts:
         den = math.lcm(*(int(q.denominator) for q in coords.values()))
-        if den >= _COORD_LIMIT:
-            raise AssemblyError("coordinate denominator exceeds 62 bits")
-        dens.append(den)
-        for j, q in coords.items():
-            num = int(q * den)
-            if abs(num) >= _COORD_LIMIT:
-                raise AssemblyError("coordinate numerator exceeds 62 bits")
-            nums[i, j] = num
-    return nums, dens
+        rows.append(({j: int(q * den) for j, q in coords.items()}, den))
+    return _coord_rows(rows, width)
 
 
-def _field_from_coords(coords, kind, nvar):
-    """The vector or symmetric-tensor field with exact coordinates `coords`;
-    the inverse of _exact_coords."""
+def _field_from_row(row, den, kind, nvar):
+    """The vector or symmetric-tensor field with integer coordinate row
+    `row` over `den`; the inverse of _coord_row."""
     grid = nvar * nvar * nvar
-    terms = [{} for _ in range(_KIND_COMPONENTS[kind])]
-    for j, q in coords.items():
+    nums = [{} for _ in range(_KIND_COMPONENTS[kind])]
+    nz = np.flatnonzero(row)
+    for j, n in zip(nz.tolist(), row[nz].tolist()):
         comp, m = divmod(j, grid)
         a, m = divmod(m, nvar * nvar)
         b, c = divmod(m, nvar)
-        terms[comp][(a, b, c)] = q
-    polys = [Poly3(t) for t in terms]
+        nums[comp][(a, b, c)] = n
+    polys = [Poly3.from_num(num, den) for num in nums]
     if kind == "vector":
         return PolyVecField(polys)
     entries = [None] * 9
@@ -437,7 +457,7 @@ def _operator_matrix(name, in_kind, nvar):
         return hit
     op = getattr(pc, name)
     images = [
-        _exact_coords(
+        _coord_row(
             op(_component_field(in_kind, comp, Poly3.monomial(a, b, c))),
             _OPERATORS[name],
             nvar,
@@ -445,11 +465,12 @@ def _operator_matrix(name, in_kind, nvar):
         for comp in range(_KIND_COMPONENTS[in_kind])
         for a, b, c in itertools.product(range(nvar), repeat=3)
     ]
-    den = math.lcm(*(int(q.denominator) for img in images for q in img.values()))
+    den = math.lcm(*(d for _, d in images))
     columns = [[] for _ in range(_KIND_COMPONENTS[_OPERATORS[name]] * nvar**3)]
-    for r, img in enumerate(images):
-        for j, q in img.items():
-            columns[j].append((r, int(q * den)))
+    for r, (img, d) in enumerate(images):
+        scale = den // d
+        for j, n in img.items():
+            columns[j].append((r, n * scale))
     rows = np.zeros((max(map(len, columns)), len(columns)), dtype=np.intp)
     vals = np.zeros(rows.shape, dtype=np.int64)
     for j, col in enumerate(columns):
@@ -675,7 +696,7 @@ class ComplexLevel:
 
     def field(self, i):
         """Exact polynomial field of basis field i, built on each call."""
-        return _field_from_coords(self.coords_of(i), self.kind, self.nvar)
+        return _field_from_row(self.nums[i], int(self.dens[i]), self.kind, self.nvar)
 
     @cached_property
     def coords(self):
@@ -683,9 +704,7 @@ class ComplexLevel:
 
     @cached_property
     def fields(self):
-        return tuple(
-            _field_from_coords(c, self.kind, self.nvar) for c in self.coords
-        )
+        return tuple(self.field(i) for i in range(self.dim))
 
 
 def _select_exact(nums, dens, flags):
@@ -1118,10 +1137,10 @@ def _adjoin_potentials(ec, extras):
     certify rank A0 = rank of `ec`'s A0 + len(extras).
     """
     level0, level1 = ec.levels[0], ec.levels[1]
-    terms = (e for f in extras for q in _field_components(f, "vector") for e in q.terms)
-    nvar0 = max([level0.nvar] + [1 + max(e) for e in terms])
-    nums, dens = _integer_rows(
-        [_exact_coords(f, "vector", nvar0) for f in extras], 3 * nvar0**3
+    expos = (e for f in extras for q in _field_components(f, "vector") for e in q.num)
+    nvar0 = max([level0.nvar] + [1 + max(e) for e in expos])
+    nums, dens = _coord_rows(
+        [_coord_row(f, "vector", nvar0) for f in extras], 3 * nvar0**3
     )
     provenance = [("generator", level0.dim + e) for e in range(len(extras))]
     dens = np.array(dens, dtype=np.int64)

@@ -293,6 +293,14 @@ class HelmholtzResult:
     kernel_residuals: tuple  # (|A_n x_harm|, |A_{n-1}* x_harm|), op-relative
 
 
+def _operator_scales(A_prev, A_n, G):
+    """max|A_n| and max|A_{n-1}^T G_n|: the scales of Helmholtz's kernel
+    residuals."""
+    op_a = float(np.max(np.abs(A_n))) if A_n.size else 0.0
+    op_b = float(np.max(np.abs(A_prev.T @ G))) if A_prev.size else 0.0
+    return op_a, op_b
+
+
 def helmholtz(x, cx, n, tol=1e-10):
     """Split x in H_n into range + harmonic + co-range parts.
 
@@ -301,7 +309,8 @@ def helmholtz(x, cx, n, tol=1e-10):
     pairwise orthogonality are verified at tolerance ``tol`` (relative to
     ``max(1, |x|_G)``).  How well the remainder annihilates A_n and A_{n-1}*
     is reported in ``kernel_residuals`` (relative to the operator scale);
-    only a gross inconsistency there raises.
+    only a gross inconsistency there raises.  The range bases and operator
+    scales are computed once per (complex, level) and cached on ``cx``.
     """
     g = cx.gram(n)
     x = np.asarray(x, dtype=np.float64)
@@ -325,8 +334,12 @@ def helmholtz(x, cx, n, tol=1e-10):
         astar = (
             adjoint(A_n, g, cx.gram(n + 1)) if A_n.size else np.zeros((g.dim, 0))
         )
-        cx._cache[key] = (ortho_range(A_prev), ortho_range(astar))
-    q_range, q_costar = cx._cache[key]
+        cx._cache[key] = (
+            ortho_range(A_prev),
+            ortho_range(astar),
+            *_operator_scales(A_prev, A_n, g.G),
+        )
+    q_range, q_costar, op_a, op_b = cx._cache[key]
 
     x_range = g.from_orthonormal(q_range @ (q_range.T @ xt))
     x_costar = g.from_orthonormal(q_costar @ (q_costar.T @ xt))
@@ -336,8 +349,6 @@ def helmholtz(x, cx, n, tol=1e-10):
     # reported for callers to assert at their own tolerance; only a gross
     # inconsistency (wrong adjoint or Gram) raises here.
     e2 = max(float(np.linalg.norm(x)), 1.0e-300)
-    op_a = float(np.max(np.abs(A_n))) if A_n.size else 0.0
-    op_b = float(np.max(np.abs(A_prev.T @ g.G))) if A_prev.size else 0.0
     res_a = float(np.max(np.abs(A_n @ x_harm))) if A_n.size else 0.0
     res_b = (
         float(np.max(np.abs(A_prev.T @ (g.G @ x_harm)))) if A_prev.size else 0.0

@@ -2,7 +2,10 @@
 
 Sparse trivariate polynomials with rational coefficients, vector and matrix
 fields over them, and the first/second order differential operators of the
-elasticity complex:
+elasticity complex.  A Poly3 holds integer numerators over one common
+denominator in lowest terms (see the class), so each ring operation and
+derivative is integer arithmetic plus one gcd per result, not a Fraction
+per term.  The operators:
 
     grad / div / rot            on scalar resp. vector fields,
     Grad / Rot / Div            acting row-wise on matrix fields,
@@ -17,6 +20,7 @@ hold identically and are used as smoke oracles all over the test suite.
 """
 
 import itertools
+import math
 
 from .rational import Q, QZERO, as_q, qstr
 from .tensor_algebra import NotSkew
@@ -24,18 +28,52 @@ from .tensor_algebra import NotSkew
 _AXES = "xyz"
 
 
-class Poly3:
-    """Sparse polynomial in x, y, z: {(a, b, c): rational}, no zero values."""
+def _poly(num, den):
+    """The Poly3 num / den, reduced to lowest terms; num holds no zeros."""
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {e: n // g for e, n in num.items()}
+    p = Poly3.__new__(Poly3)
+    p.num = num
+    p.den = den
+    return p
 
-    __slots__ = ("terms",)
+
+class Poly3:
+    """Sparse polynomial in x, y, z with rational coefficients.
+
+    Held as integer numerators over one denominator: `num` maps exponents
+    (a, b, c) to nonzero Python ints and `den` is a positive int with
+    gcd(den, *num.values()) == 1.  That form is unique, so `==` and `hash`
+    compare it directly, and the ring operations and derivatives run on
+    ints with one gcd per result.  The zero polynomial is ({}, 1).  `terms`
+    gives the {exponent: rational} view.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, terms=None):
-        if terms is None:
-            self.terms = {}
-        else:
-            self.terms = {e: c for e, c in terms.items() if c != 0}
+        qs = {e: as_q(c) for e, c in (terms or {}).items() if c != 0}
+        den = math.lcm(*(int(q.denominator) for q in qs.values()))
+        self.num = {
+            e: int(q.numerator) * (den // int(q.denominator)) for e, q in qs.items()
+        }
+        self.den = den
+
+    @property
+    def terms(self):
+        """The coefficients as {(a, b, c): rational}, no zero values."""
+        den = self.den
+        return {e: Q(n, den) for e, n in self.num.items()}
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_num(cls, num, den=1):
+        """The polynomial num / den: {exponent: int} over a positive int."""
+        return _poly({e: n for e, n in num.items() if n}, den)
 
     @classmethod
     def zero(cls):
@@ -43,65 +81,67 @@ class Poly3:
 
     @classmethod
     def constant(cls, c):
-        c = as_q(c)
-        return cls({(0, 0, 0): c}) if c != 0 else cls()
+        return cls({(0, 0, 0): c})
 
     @classmethod
     def monomial(cls, a, b, c, coeff=1):
-        coeff = as_q(coeff)
-        return cls({(a, b, c): coeff}) if coeff != 0 else cls()
+        return cls({(a, b, c): coeff})
 
     @classmethod
     def variable(cls, axis):
         e = [0, 0, 0]
         e[axis] = 1
-        return cls({tuple(e): Q(1)})
+        return cls.from_num({tuple(e): 1})
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, QZERO) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
+    def _combine(self, other, sign):
+        """self + sign * other.  Poly3 values are never mutated, so a zero
+        operand can hand back the other one."""
+        if not other.num:
+            return self
+        if not self.num:
+            return other if sign == 1 else -other
+        d1, d2 = self.den, other.den
+        den = d1 * d2 // math.gcd(d1, d2)
+        m1, m2 = den // d1, sign * (den // d2)
+        out = dict(self.num) if m1 == 1 else {e: n * m1 for e, n in self.num.items()}
+        get = out.get
+        for e, n in other.num.items():
+            s = get(e, 0) + n * m2
+            if s:
                 out[e] = s
-        p = Poly3.__new__(Poly3)
-        p.terms = out
-        return p
+            else:
+                del out[e]
+        return _poly(out, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, QZERO) - c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        p = Poly3.__new__(Poly3)
-        p.terms = out
-        return p
+        return self._combine(other, -1)
 
     def __neg__(self):
-        p = Poly3.__new__(Poly3)
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        if not self.num:
+            return self
+        return _poly({e: -n for e, n in self.num.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, Poly3):
+            if not (self.num and other.num):
+                return Poly3()
             out = {}
-            for (a1, b1, c1), u in self.terms.items():
-                for (a2, b2, c2), v in other.terms.items():
+            get = out.get
+            right = list(other.num.items())
+            for (a1, b1, c1), u in self.num.items():
+                for (a2, b2, c2), v in right:
                     e = (a1 + a2, b1 + b2, c1 + c2)
-                    s = out.get(e, QZERO) + u * v
-                    if s == 0:
-                        out.pop(e, None)
-                    else:
+                    s = get(e, 0) + u * v
+                    if s:
                         out[e] = s
-            p = Poly3.__new__(Poly3)
-            p.terms = out
-            return p
+                    else:
+                        del out[e]
+            return _poly(out, self.den * other.den)
         if isinstance(other, (PolyVecField, PolyMatField)):
             return NotImplemented
         return self.scale(other)
@@ -113,33 +153,37 @@ class Poly3:
         c = as_q(c)
         if c == 0:
             return Poly3()
-        p = Poly3.__new__(Poly3)
-        p.terms = {e: c * v for e, v in self.terms.items()}
-        return p
+        if not self.num:
+            return self
+        k = int(c.numerator)
+        return _poly(
+            {e: k * n for e, n in self.num.items()}, self.den * int(c.denominator)
+        )
 
     def __eq__(self, other):
-        return isinstance(other, Poly3) and self.terms == other.terms
+        return (
+            isinstance(other, Poly3)
+            and self.den == other.den
+            and self.num == other.num
+        )
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.num.items()), self.den))
 
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     # -- calculus ----------------------------------------------------------
 
     def diff(self, axis):
+        if not self.num:
+            return self
         out = {}
-        for e, c in self.terms.items():
+        for e, n in self.num.items():
             k = e[axis]
-            if k == 0:
-                continue
-            e2 = list(e)
-            e2[axis] = k - 1
-            out[tuple(e2)] = c * k
-        p = Poly3.__new__(Poly3)
-        p.terms = out
-        return p
+            if k:
+                out[e[:axis] + (k - 1,) + e[axis + 1 :]] = n * k
+        return _poly(out, self.den)
 
     def partial(self, alpha):
         """Apply the mixed partial d^alpha, alpha = (i, j, k) orders."""
@@ -153,43 +197,38 @@ class Poly3:
         """Exact evaluation at a rational point (tuple of 3 rationals)."""
         x, y, z = (as_q(t) for t in point)
         total = QZERO
-        for (a, b, c), coeff in self.terms.items():
-            total += coeff * x**a * y**b * z**c
-        return total
+        for (a, b, c), n in self.num.items():
+            total += n * x**a * y**b * z**c
+        return total / self.den
 
     # -- bookkeeping -------------------------------------------------------
 
     def total_degree(self):
         """Max total degree of a term; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(a + b + c for (a, b, c) in self.terms)
+        return max(a + b + c for (a, b, c) in self.num)
 
     def degrees_per_var(self):
-        if not self.terms:
+        if not self.num:
             return (-1, -1, -1)
-        return tuple(max(e[i] for e in self.terms) for i in range(3))
+        return tuple(max(e[i] for e in self.num) for i in range(3))
 
     def canonical_text(self):
         """Deterministic text form: terms sorted by (total degree, exponents),
         highest first, each as 'coef * x^a y^b z^c'."""
-        if not self.terms:
+        if not self.num:
             return "0"
-        keys = sorted(
-            self.terms, key=lambda e: (e[0] + e[1] + e[2], e), reverse=True
-        )
+        keys = sorted(self.num, key=lambda e: (e[0] + e[1] + e[2], e), reverse=True)
         parts = []
         for e in keys:
-            c = self.terms[e]
+            c = qstr(Q(self.num[e], self.den))
             factors = [
                 ("%s^%d" % (_AXES[i], e[i])) if e[i] > 1 else _AXES[i]
                 for i in range(3)
                 if e[i] > 0
             ]
-            if not factors:
-                parts.append(qstr(c))
-            else:
-                parts.append(qstr(c) + " * " + " ".join(factors))
+            parts.append(c + " * " + " ".join(factors) if factors else c)
         return " + ".join(parts)
 
     def __repr__(self):
@@ -520,8 +559,9 @@ def random_poly(rng, degree=3):
         num = rng.randint(-9, 9)
         den = rng.choice((1, 2, 3))
         if num != 0:
-            terms[(a, b, c)] = Q(num, den)
-    return Poly3(terms)
+            terms[(a, b, c)] = (num, den)
+    den = math.lcm(*(d for _, d in terms.values()))
+    return _poly({e: n * (den // d) for e, (n, d) in terms.items()}, den)
 
 
 def random_vec_field(rng, degree=3):

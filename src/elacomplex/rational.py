@@ -2,9 +2,12 @@
 
 gmpy2.mpq is API-compatible with fractions.Fraction for everything we do
 (arithmetic, comparison, numerator/denominator, str) and is several times
-faster, which matters for the identity suite's runtime budget.  gmpy2 is
-optional: without it the same code runs on fractions.Fraction, with
-identical results.
+faster.  Little of the hot work is rational arithmetic any more: Poly3
+computes on integer numerators over one denominator, and the exact
+assembly on int64 rows, so the scalar type serves the cold paths (factor
+bases, potentials, rational reconstruction, coefficient views and text).
+gmpy2 is optional: without it the same code runs on fractions.Fraction,
+with identical results.
 """
 
 try:

@@ -52,6 +52,20 @@ def test_verify_identities_unknown_id(capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize(
+    "only", ["", ",", " ", " , ", "ELA-A01,ELA-A01", "ELA-A01, ELA-A12,ELA-A01"]
+)
+def test_verify_identities_empty_or_repeated_only(capsys, tmp_path, only):
+    code, out, err = run_cli(capsys, "verify-identities", "--only", only)
+    assert code == 2 and out == ""
+    assert "config error" in err
+    path = tmp_path / "only.json"
+    path.write_text(json.dumps({"only": only}))
+    code, out, err = run_cli(capsys, "verify-identities", "--config", str(path))
+    assert code == 2 and out == ""
+    assert "config error" in err
+
+
 def test_verify_identities_csv(capsys):
     code, out, _ = run_cli(
         capsys, "verify-identities", "--only", "ELA-A01", "--trials", "2",

@@ -188,6 +188,36 @@ def test_helmholtz_random_orthogonality(torus):
             assert abs(v) < 1e-10 * nx * nx
 
 
+def test_helmholtz_operator_scales_computed_once_per_level(monkeypatch):
+    cx = derham.cubical_complex(derham.torus_cells())
+    calls = []
+    real = fa._operator_scales
+
+    def spy(A_prev, A_n, G):
+        calls.append(A_prev.shape)
+        return real(A_prev, A_n, G)
+
+    monkeypatch.setattr(fa, "_operator_scales", spy)
+    rng = np.random.default_rng(5)
+    for n in (1, 2):
+        g = cx.gram(n)
+        A_prev, A_n = cx.op(n - 1), cx.op(n)
+        op_a = float(np.max(np.abs(A_n)))
+        op_b = float(np.max(np.abs(A_prev.T @ g.G)))
+        for _ in range(20):
+            x = rng.normal(size=cx.dims[n])
+            res = fa.helmholtz(x, cx, n)
+            # the uncached formula for the kernel residuals
+            e2 = max(float(np.linalg.norm(x)), 1.0e-300)
+            res_a = float(np.max(np.abs(A_n @ res.x_harm)))
+            res_b = float(np.max(np.abs(A_prev.T @ (g.G @ res.x_harm))))
+            assert res.kernel_residuals == (
+                res_a / max(1.0, op_a * e2),
+                res_b / max(1.0, op_b * e2),
+            )
+    assert calls == [cx.op(0).shape, cx.op(1).shape]
+
+
 def test_helmholtz_kernel_element_has_no_costar(torus):
     rng = np.random.default_rng(4)
     K = fa.kernel_basis(torus.op(1), torus.gram(1))

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -185,3 +187,96 @@ def test_ring_laws(d1, d2):
     assert f * g == g * f
     assert (f + g) * f == f * f + g * f
     assert (f - f).is_zero()
+
+
+# --- the integer-numerator representation, against a Fraction-dict oracle ---
+
+_EXPONENTS = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+_RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+_COEFFS = st.one_of(st.integers(-9, 9), _RATIONALS)
+_TERMS = st.dictionaries(_EXPONENTS, _COEFFS, max_size=8)
+
+
+def _oracle(terms):
+    return {e: Fraction(c) for e, c in terms.items() if c != 0}
+
+
+def _oracle_combine(f, g, sign):
+    out = dict(f)
+    for e, c in g.items():
+        out[e] = out.get(e, 0) + sign * c
+    return _oracle(out)
+
+
+def _oracle_mul(f, g):
+    out = {}
+    for (a1, b1, c1), u in f.items():
+        for (a2, b2, c2), v in g.items():
+            e = (a1 + a2, b1 + b2, c1 + c2)
+            out[e] = out.get(e, 0) + u * v
+    return _oracle(out)
+
+
+def _oracle_diff(f, axis):
+    out = {}
+    for e, c in f.items():
+        if e[axis]:
+            e2 = list(e)
+            e2[axis] -= 1
+            out[tuple(e2)] = c * e[axis]
+    return out
+
+
+def _assert_canonical(p):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(n) is int and n != 0 for n in p.num.values())
+    assert math.gcd(p.den, *p.num.values()) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TERMS, _TERMS, _COEFFS, st.tuples(*[st.integers(0, 2)] * 3))
+def test_poly3_operations_match_fraction_oracle(d1, d2, c, alpha):
+    f, g = Poly3(d1), Poly3(d2)
+    o1, o2 = _oracle(d1), _oracle(d2)
+    cases = [
+        (f + g, _oracle_combine(o1, o2, 1)),
+        (f - g, _oracle_combine(o1, o2, -1)),
+        (-f, _oracle_combine({}, o1, -1)),
+        (f * g, _oracle_mul(o1, o2)),
+        (f.scale(c), _oracle({e: v * c for e, v in o1.items()})),
+        (c * f, _oracle({e: v * c for e, v in o1.items()})),
+        (f * c, _oracle({e: v * c for e, v in o1.items()})),
+        (f.scale(0), {}),
+    ]
+    for axis in range(3):
+        cases.append((f.diff(axis), _oracle_diff(o1, axis)))
+    expected = o1
+    for axis, order in enumerate(alpha):
+        for _ in range(order):
+            expected = _oracle_diff(expected, axis)
+    cases.append((f.partial(alpha), expected))
+    for p, terms in cases:
+        _assert_canonical(p)
+        assert p.terms == terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TERMS, _TERMS)
+def test_poly3_equal_polynomials_hash_equal(d1, d2):
+    f, g = Poly3(d1), Poly3(d2)
+    for h in ((f + g) - g, Poly3(f.terms), f.scale(3).scale(Fraction(1, 3)), -(-f)):
+        assert h == f and hash(h) == hash(f)
+    assert (f == g) == (_oracle(d1) == _oracle(d2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TERMS)
+def test_poly3_terms_round_trip(terms):
+    p = Poly3(terms)
+    _assert_canonical(p)
+    assert p.terms == _oracle(terms)
+    if all(c != 0 for c in terms.values()):
+        assert p.terms == terms
+    assert Poly3.from_num(
+        {e: int(q * p.den) for e, q in p.terms.items()}, p.den
+    ) == p
