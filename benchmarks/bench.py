@@ -9,8 +9,10 @@
 By default each run is `build_complex(p, gt, use_cache=False)` in a new
 interpreter, for p in --degrees and the four boundary selections.  A run
 records the wall time of the call, the time spent in `exactlin.select_rows`
-(calls and primes used per call), the number of `_assemble_level` calls,
-and the dims, ranks, kernel dims, harmonic dims and `meta` of the complex.
+(calls and primes used per call) and in `_normalized_level` (the norm
+exponents and scaling of each level's rows), the number of
+`_assemble_level` calls, and the dims, ranks, kernel dims, harmonic dims
+and `meta` of the complex.
 
 With --verbs each run is one CLI call in a new interpreter instead, with
 the argument lists of the `toolbox` workload of perfbench (seed
@@ -81,6 +83,16 @@ def counted(*args, **kwargs):
     return assemble_level(*args, **kwargs)
 
 ea._assemble_level = counted
+normalize = []
+normalized_level = ea._normalized_level
+
+def normalized(*args, **kwargs):
+    start = time.perf_counter()
+    result = normalized_level(*args, **kwargs)
+    normalize.append(time.perf_counter() - start)
+    return result
+
+ea._normalized_level = normalized
 start = time.perf_counter()
 ec = ea.build_complex(p, gt, use_cache=False)
 wall = time.perf_counter() - start
@@ -89,6 +101,7 @@ print(json.dumps({
     "select_rows_s": sum(t for t, _ in spans),
     "select_rows_calls": len(spans),
     "primes_used": [n for _, n in spans],
+    "normalize_s": sum(normalize),
     "dims": list(ec.dims),
     "ranks": list(ec.ranks),
     "kernel_dims": list(ec.kernel_dims),
@@ -254,13 +267,15 @@ def main(argv=None):
                     rec.update(tree=label, p=p, gt=gt, repeat=rep)
                     runs.append(rec)
                     print(
-                        "%-8s p=%d %-6s wall %6.2f s  select_rows %6.2f s  levels %d  primes %s"
+                        "%-8s p=%d %-6s wall %6.2f s  select_rows %6.2f s  normalize %5.2f s"
+                        "  levels %d  primes %s"
                         % (
                             label,
                             p,
                             gt,
                             rec["wall_s"],
                             rec["select_rows_s"],
+                            rec["normalize_s"],
                             rec["levels_assembled"],
                             rec["primes_used"],
                         ),
@@ -273,7 +288,7 @@ def main(argv=None):
                 mine = [r for r in runs if (r["tree"], r["p"], r["gt"]) == (label, p, gt)]
                 medians.setdefault(label, {})["%d %s" % (p, gt)] = {
                     key: round(statistics.median(r[key] for r in mine), 3)
-                    for key in ("wall_s", "select_rows_s")
+                    for key in ("wall_s", "select_rows_s", "normalize_s")
                 }
     agree = {
         "%d %s" % (p, gt): len(

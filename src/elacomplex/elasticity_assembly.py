@@ -605,6 +605,7 @@ def _l2_norms(kind, nums, dens, nvar):
     Each coordinate is the correctly rounded quotient of its exact integer
     numerator and denominator in extended precision.  Rows go through the
     frame change in blocks, which bounds its extended-precision memory.
+    This is the fallback and the oracle of `_norm_exponents`.
     """
     norms = []
     for i in range(0, max(len(nums), 1), _NORM_BLOCK):
@@ -612,6 +613,75 @@ def _l2_norms(kind, nums, dens, nvar):
         B = _orthoframe_rows(X, _KIND_COMPONENTS[kind], nvar, _KIND_WEIGHTS[kind])
         norms.append(np.linalg.norm(B, axis=1))
     return np.concatenate(norms)
+
+
+_KRON_CACHE = {}
+
+
+def _kron_frame(nvar):
+    """(K^T, |K|^T) in float64 for K = W (x) W (x) W, the Legendre frame
+    change of the whole nvar grid (`_legendre_frame`), formed in extended
+    precision and rounded once per entry."""
+    cached = _KRON_CACHE.get(nvar)
+    if cached is None:
+        W = _legendre_frame(nvar)
+        KT = np.ascontiguousarray(np.kron(np.kron(W, W), W).T.astype(np.float64))
+        cached = _KRON_CACHE[nvar] = (KT, np.abs(KT))
+    return cached
+
+
+def _norm_exponents(kind, nums, dens, nvar):
+    """k_i = round(log2 ||f_i||) for the fields f_i = nums[i] / dens[i]:
+    the exponents `round(log2(_l2_norms(...)))` would give, bit for bit.
+
+    The squared norm s_i is formed in float64, one BLAS product with the
+    cached frame change K = W (x) W (x) W per block of rows, with an
+    a-priori bound e_i on its distance from the extended-precision value of
+    `_l2_norms`.  The cell boundaries of k lie at s = 2^(2k +- 1), so row i
+    is decided when [s_i - e_i, s_i + e_i] holds no power of two with an
+    odd exponent; the other rows (an exact tie among them) go through
+    `_l2_norms`.
+
+    The bound (a filter in the sense of Shewchuk's adaptive predicates):
+    with x a row, a = |K| |x| (a second product) and y = K x, each float64
+    entry of y is within c a of the exact one, c = 2((n + 4) u + 14 v) for
+    n = nvar^3 terms, u = 2^-53 and v the unit roundoff of longdouble
+    (rounding of x and K, and the product); each entry of the oracle's
+    frame change is within c_o a + u |y|, c_o = 2 (3 nvar + 20) v.  So
+    the weighted sums of squares differ by at most
+    sum w a (2 c |y| + (c^2 + 3 c_o) a), plus (2 m + 4096) u s for the two
+    sums of m = ncomp n squares, the oracle's square root, log2 and round,
+    and the rounding of the bound itself.
+    """
+    ncomp = _KIND_COMPONENTS[kind]
+    weights = np.array(_KIND_WEIGHTS[kind], dtype=np.float64)
+    KT, KabsT = _kron_frame(nvar)
+    n = nvar**3
+    u = np.finfo(np.float64).eps / 2
+    v = float(np.finfo(np.longdouble).eps) / 2
+    c = 2 * ((n + 4) * u + 14 * v)
+    c_o = 2 * (3 * nvar + 20) * v
+    rel = (2 * ncomp * n + 4096) * u
+    s, e = [], []
+    for i in range(0, max(len(nums), 1), _NORM_BLOCK):
+        X = nums[i : i + _NORM_BLOCK] / dens[i : i + _NORM_BLOCK, None]
+        X = X.reshape(-1, n)
+        Y = X @ KT
+        A = np.abs(X) @ KabsT
+        np.abs(Y, out=Y)
+        sq = (Y * Y).sum(axis=1).reshape(-1, ncomp) @ weights
+        A *= 2 * c * Y + (c * c + 3 * c_o) * A
+        s.append(sq)
+        e.append(A.sum(axis=1).reshape(-1, ncomp) @ weights + rel * sq)
+    s, e = np.concatenate(s), np.concatenate(e)
+    # s in [2^(E-1), 2^E), E the frexp exponent, lies in the cell k = E >> 1
+    lo, hi = np.frexp(s - e)[1] >> 1, np.frexp(s + e)[1] >> 1
+    ks = hi.astype(np.int64)
+    fallback = np.flatnonzero(~(s - e > 0) | (lo != hi))
+    if fallback.size:
+        norms = _l2_norms(kind, nums[fallback], dens[fallback], nvar)
+        ks[fallback] = [int(round(math.log2(x))) if x > 0 else 0 for x in norms]
+    return ks
 
 
 # ---------------------------------------------------------------------------
@@ -719,15 +789,16 @@ def _normalized_level(kind, nums, dens, provenance, nvar):
     """Build a level from integer rows, each scaled by a power of two to a
     unit-size L2 norm.
 
-    Row i is the field nums[i] / dens[i] on the nvar grid.  Returns (level,
-    scales): the level's field i is row i divided by scales[i], held as a
-    read-only least-denominator integer row; no rational coordinates or
-    polynomial fields are built here.
+    Row i is the field nums[i] / dens[i] on the nvar grid, and scales[i] =
+    2^k_i with k_i = round(log2 ||f_i||) from `_norm_exponents`: float64
+    norms where their error bound decides k_i, the extended-precision
+    `_l2_norms` elsewhere, so the exponents (hence every level basis) are
+    those of `_l2_norms` alone.  Returns (level, scales): the level's field
+    i is row i divided by scales[i], held as a read-only least-denominator
+    integer row; no rational coordinates or polynomial fields are built
+    here.
     """
-    norms = _l2_norms(kind, nums, dens, nvar)
-    ks = np.array(
-        [int(round(math.log2(n))) if n > 0 else 0 for n in norms], dtype=np.int64
-    )
+    ks = _norm_exponents(kind, nums, dens, nvar)
     up, down = np.maximum(-ks, 0), np.maximum(ks, 0)
     if np.any(np.abs(nums).max(axis=1) >= _COORD_LIMIT >> up) or np.any(
         dens >= _COORD_LIMIT >> down

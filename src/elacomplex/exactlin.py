@@ -9,10 +9,14 @@ that precede them.  The number of kept rows is the certified rank.
 Each prime runs one reduced row echelon form of the transposed residue
 matrix in float64 (residues below 2^26 keep every product below 2^53,
 hence exact): its pivot columns are the kept rows and its dependent
-columns the expansions of the dependent rows.  Residues are reduced
-without libm `fmod`, which dominated the row updates: an integer x with
-|x| < 2^53 maps to x - floor(x * (1/p)) * p, which is exact and off by at
-most one multiple of p, and one fix-up brings it into [0, p).
+columns the expansions of the dependent rows.  The elimination keeps its
+pivots unnormalised and scales only the dependent block, once, at the
+end.  Residues are reduced without libm `fmod`, which dominated the row
+updates: an integer x maps to x - floor(x * (1/p)) * p.  Every value the
+elimination forms has |x| <= (p - 1)^2, where that quotient is exact for
+the primes of PRIMES (`_reduce_rref`); the exact check forms values up to
+2^53, where it can be off by one multiple of p and one fix-up in each
+direction brings it into [0, p) (`_reduce`).
 
 The certificate is complete.  Independence mod any prime certifies the
 kept rows independent over the rationals.  The expansion of every
@@ -74,14 +78,30 @@ class ReconstructionFailure(RuntimeError):
 
 def _reduce(x, p):
     """x mod p in [0, p), in place, for a float64 array of integers below
-    2^53 in magnitude.
+    2^53 in magnitude (`mod_rows` and the exact check of `_expansions_hold`).
 
     The quotient floor(x * (1/p)) is off by at most one, and every
-    intermediate is an integer below 2^53, so the result is exact.
+    intermediate is an integer below 2^53, so the result is exact after one
+    fix-up in each direction.
     """
     x -= np.floor(x * (1.0 / p)) * p
     np.add(x, p, out=x, where=x < 0)
     np.subtract(x, p, out=x, where=x >= p)
+    return x
+
+
+def _reduce_rref(x, p):
+    """x mod p in [0, p), in place, for a float64 array of integers with
+    |x| <= (p - 1)^2, the range of every value the RREF forms.
+
+    For each prime of PRIMES, fl(1/p) rounds down and the floor quotient
+    floor(x * fl(1/p)) is exact on that range, so no fix-up is needed
+    (pinned in tests/test_exactlin.py).
+    """
+    q = x * (1.0 / p)
+    np.floor(q, out=q)
+    q *= p
+    x -= q
     return x
 
 
@@ -98,17 +118,25 @@ def mod_rows(nums, dens, p):
 def _select_mod_p(rows, p):
     """One prime: kept rows and the expansions of every dependent row.
 
-    Reduces M = rows.T (float64 residues in [0, p)) to reduced row echelon
-    form column by column.  The pivot columns are the greedy earliest
-    independent rows.  Row operations preserve column relations, so a
-    dependent column j of the RREF holds its row's expansion over the kept
-    rows (zero on those after j).  Returns (kept, deps): column i of deps is
-    the expansion of the i-th row not in kept, gathered into a new array so
-    that M is freed when the pass ends.  Every product of two residues is
-    below p^2 < 2^53, so the float64 arithmetic is exact.
+    Reduces M = rows.T (float64 residues in [0, p)) to echelon form column
+    by column, eliminating with unnormalised pivots: a pivot d clears the
+    other nonzero rows of its column with the factors col * d^-1, and pivot
+    rows are never scaled.  The pivot columns are the greedy earliest
+    independent rows.  Row operations preserve column relations, so the
+    first len(kept) rows of M end as diag(d) times the reduced row echelon
+    form, and scaling the dependent block once by the inverse pivots gives
+    the RREF there: dependent column j holds its row's expansion over the
+    kept rows (zero on those after j).  The RREF mod p is unique, so the
+    result is the same as with normalised pivots.  Returns (kept, deps):
+    column i of deps is the expansion of the i-th row not in kept, in a new
+    array, so that M is freed when the pass ends.
+
+    Every value formed is a product of two residues or a residue minus such
+    a product, so |x| <= (p - 1)^2 < 2^53: the float64 arithmetic is exact
+    and `_reduce_rref` reduces it without fix-ups.
     """
     M = np.ascontiguousarray(rows.T)
-    kept = []
+    kept, inverses = [], []
     for j in range(M.shape[1]):
         r = len(kept)
         col = M[:, j]
@@ -120,16 +148,17 @@ def _select_mod_p(rows, p):
         # M[r, j] is zero unless lead == r, so after the swap the other
         # nonzero rows of column j are nz without lead, with their values
         hit = nz[nz != lead]
-        factors = col[hit]
+        inv = pow(int(col[lead]), -1, p)
         if lead != r:
             M[[r, lead], j:] = M[[lead, r], j:]
-        inv = float(pow(int(M[r, j]), -1, p))
-        M[r, j:] = _reduce(M[r, j:] * inv, p)
         if hit.size:
-            M[hit, j:] = _reduce(M[hit, j:] - factors[:, None] * M[r, j:], p)
+            factors = _reduce_rref(col[hit] * inv, p)
+            M[hit, j:] = _reduce_rref(M[hit, j:] - factors[:, None] * M[r, j:], p)
         kept.append(j)
+        inverses.append(inv)
     dependent = np.setdiff1d(np.arange(M.shape[1]), kept)
-    return kept, M[: len(kept)][:, dependent]
+    deps = M[: len(kept)][:, dependent] * np.array(inverses, dtype=np.float64)[:, None]
+    return kept, _reduce_rref(deps, p)
 
 
 def crt_int(residues, primes):

@@ -326,6 +326,79 @@ def test_float_gram_matches_exact_integrals():
     assert np.max(np.abs(G - exact)) < 1e-14
 
 
+# --- norm exponents -------------------------------------------------------------
+
+
+def _oracle_exponents(kind, nums, dens, nvar):
+    """round(log2 ||f||) from the extended-precision norms."""
+    norms = ea._l2_norms(kind, nums, dens, nvar)
+    return [int(round(math.log2(x))) if x > 0 else 0 for x in norms]
+
+
+def _normalization_inputs(monkeypatch, p, gt):
+    """The rows whose norms a cold degree-p assembly takes: every input of
+    `_normalized_level` for p >= 4; below that, where the chain cannot be
+    built, the degree-p V0 rows and their Grad and sym_grad images."""
+    if p < 4:
+        nvar = p + 1
+        rows = ea._space_rows(ea.build_space("vector", p, gt, 1), nvar)
+        ones = np.ones(len(rows), dtype=np.int64)
+        inputs = [("vector", rows, ones, nvar)]
+        for name in ("Grad", "sym_grad"):
+            nums, dens = ea._images(rows, ones, name, "vector", nvar, nvar)
+            inputs.append((ea._OPERATORS[name], nums, dens, nvar))
+        return inputs
+    inputs = []
+    real = ea._normalized_level
+
+    def spy(kind, nums, dens, provenance, nvar):
+        inputs.append((kind, nums.copy(), dens.copy(), nvar))
+        return real(kind, nums, dens, provenance, nvar)
+
+    monkeypatch.setattr(ea, "_normalized_level", spy)
+    ea.build_complex(p, gt, use_cache=False)
+    monkeypatch.undo()
+    return inputs
+
+
+@pytest.mark.parametrize("gt", BOUNDARY_CONFIGS)
+@pytest.mark.parametrize("p", range(1, 6))
+def test_norm_exponents_match_extended_precision(monkeypatch, p, gt):
+    inputs = _normalization_inputs(monkeypatch, p, gt)
+    assert len(inputs) >= 3
+    for kind, nums, dens, nvar in inputs:
+        ks = ea._norm_exponents(kind, nums, dens, nvar)
+        assert ks.tolist() == _oracle_exponents(kind, nums, dens, nvar)
+
+
+def test_norm_exponent_ties_take_the_fallback(monkeypatch):
+    # constant symmetric tensors with off-diagonal entry 1 or 4 have squared
+    # norms 2 and 32 (an off-diagonal pair weighs 2), so ||f|| = 2^(k + 1/2)
+    # lies on a cell boundary; log2 of the extended-precision norm rounds
+    # to 1 and to 2 (half to even), where the float64 cell of s = 32 is 3
+    nvar = 3
+    n = nvar**3
+    nums = np.zeros((4, 6 * n), dtype=np.int64)
+    nums[0, 3 * n] = 1
+    nums[1, 0] = 3  # squared norm 9, far from a boundary
+    nums[2, 4 * n] = 4
+    nums[3, 5 * n + 1] = 5  # 5 z / 7, squared norm 50 / 147
+    dens = np.array([1, 1, 1, 7], dtype=np.int64)
+    real = ea._l2_norms
+    fallback = []
+
+    def spy(kind, nums, dens, nvar):
+        fallback.extend(map(tuple, nums.tolist()))
+        return real(kind, nums, dens, nvar)
+
+    monkeypatch.setattr(ea, "_l2_norms", spy)
+    ks = ea._norm_exponents("symmetric-tensor", nums, dens, nvar)
+    assert ks.tolist() == [1, 2, 2, -1]
+    assert fallback == [tuple(nums[0]), tuple(nums[2])]
+    monkeypatch.undo()
+    assert ks.tolist() == _oracle_exponents("symmetric-tensor", nums, dens, nvar)
+
+
 # --- assembled complexes ------------------------------------------------------
 
 

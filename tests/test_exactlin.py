@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elacomplex import exactlin as xl
 from elacomplex.rational import Q
@@ -209,6 +211,59 @@ def test_select_mod_p_returns_expansions_as_copies():
     kept, deps = xl._select_mod_p(residues, p)
     assert len(kept) == 12 and deps.shape == (12, 28)
     assert deps.base is None or deps.base.shape != residues.T.shape
+
+
+def _rref_mod_p(rows, p):
+    """Oracle: the greedy kept rows and the dependent columns of the reduced
+    row echelon form of rows.T mod p, in Python integers."""
+    n = len(rows)
+    M = [list(col) for col in zip(*rows)]
+    kept = []
+    for j in range(n):
+        r = len(kept)
+        lead = next((i for i in range(r, len(M)) if M[i][j] % p), None)
+        if lead is None:
+            continue
+        M[r], M[lead] = M[lead], M[r]
+        inv = pow(M[r][j], -1, p)
+        M[r] = [x * inv % p for x in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][j]:
+                f = M[i][j]
+                M[i] = [(x - f * y) % p for x, y in zip(M[i], M[r])]
+        kept.append(j)
+    dependent = [j for j in range(n) if j not in kept]
+    return kept, [[M[i][j] for j in dependent] for i in range(len(kept))]
+
+
+@st.composite
+def _residue_rows(draw):
+    """A sparse, rank-deficient residue matrix (rows of width m) mod p, with
+    zero rows and zero columns; the zero columns of the rows are zero rows
+    of the transposed matrix, so the elimination must swap rows past them."""
+    p = draw(st.sampled_from(xl.PRIMES))
+    n, m = draw(st.integers(1, 14)), draw(st.integers(1, 10))
+    rank = draw(st.integers(0, min(n, m)))
+    entry = st.sampled_from([0, 0, 1, p - 1]) | st.integers(0, p - 1)
+    base = [draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(rank)]
+    zero_cols = draw(st.sets(st.integers(0, m - 1), max_size=m // 2))
+    rows = []
+    for _ in range(n):
+        mix = draw(st.lists(entry, min_size=rank, max_size=rank))
+        row = [sum(c * b[k] for c, b in zip(mix, base)) % p for k in range(m)]
+        rows.append([0 if k in zero_cols else x for k, x in enumerate(row)])
+    return rows, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(_residue_rows())
+def test_select_mod_p_matches_python_int_rref(case):
+    rows, p = case
+    kept, deps = xl._select_mod_p(np.array(rows, dtype=np.float64), p)
+    want_kept, want_deps = _rref_mod_p(rows, p)
+    assert kept == want_kept
+    shape = (len(kept), len(rows) - len(kept))
+    assert np.array_equal(deps, np.array(want_deps, dtype=np.float64).reshape(shape))
 
 
 def test_select_rows_multiblock_stress_vs_oracle():
@@ -499,3 +554,33 @@ def test_reduce_fixups_near_2_53():
     for p, x in cases:
         assert abs(x) < 2**53
         assert xl._reduce(np.array([float(x)]), p).tolist() == [float(x % p)]
+
+
+@pytest.mark.parametrize("p", xl.PRIMES)
+def test_rref_reduction_needs_no_fixups(p):
+    # `_reduce_rref` drops the fix-ups of `_reduce`; it is called only on
+    # |x| <= (p - 1)^2, where the floor quotient floor(x * fl(1/p)) is exact
+    inv = 1.0 / p
+    # fl(1/p) rounds down: the computed quotient of x = q p is q (1 - delta),
+    # never above q
+    delta = 1 - p * Fraction(inv)
+    assert delta >= 0
+    # ... and it rounds back to q: q delta is largest against the spacing
+    # of the floats below q at the ends of each binade of |q| <= p - 1
+    for e in range(p.bit_length()):
+        for q in (2**e, min(2 ** (e + 1) - 1, p - 1)):
+            for x in (q * p, -q * p):
+                assert x * inv == x // p
+    # next to each binade top of the quotient, and at the bound, the values
+    # x = k p + d, d in {-1, 0, 1}, reduce into [0, p) without a fix-up
+    bound = (p - 1) ** 2
+    values = []
+    for k in [2**e + t for e in range(1, p.bit_length()) for t in (-1, 0)] + [p - 1]:
+        for sign in (1, -1):
+            values += [sign * k * p + d for d in (-1, 0, 1)]
+    values = [x for x in values if abs(x) <= bound] + [bound, -bound]
+    for x in values:
+        raw = x - math.floor(x * inv) * p
+        assert 0 <= raw < p and raw == x % p
+    x = np.array(values, dtype=np.float64)
+    assert xl._reduce_rref(x, p).tolist() == [float(v % p) for v in values]
