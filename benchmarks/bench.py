@@ -9,10 +9,11 @@
 By default each run is `build_complex(p, gt, use_cache=False)` in a new
 interpreter, for p in --degrees and the four boundary selections.  A run
 records the wall time of the call, the time spent in `exactlin.select_rows`
-(calls and primes used per call) and in `_normalized_level` (the norm
-exponents and scaling of each level's rows), the number of
-`_assemble_level` calls, and the dims, ranks, kernel dims, harmonic dims
-and `meta` of the complex.
+(calls and primes used per call), in `_normalized_level` (the norm
+exponents and scaling of each level's rows) and in `_images` (the operator
+images, including the derivation of each grid operator on first use), the
+number of `_assemble_level` calls, and the dims, ranks, kernel dims,
+harmonic dims and `meta` of the complex.
 
 With --verbs each run is one CLI call in a new interpreter instead, with
 the argument lists of the `toolbox` workload of perfbench (seed
@@ -65,34 +66,24 @@ import sys, time
 from elacomplex import elasticity_assembly as ea, exactlin
 
 p, gt = int(sys.argv[1]), sys.argv[2]
-spans = []
-select_rows = exactlin.select_rows
 
-def timed(*args, **kwargs):
-    start = time.perf_counter()
-    result = select_rows(*args, **kwargs)
-    spans.append((time.perf_counter() - start, result[2]))
-    return result
+# replace owner.name by a wrapper that calls record(seconds, args, result)
+def wrap(owner, name, record):
+    fn = getattr(owner, name)
 
-exactlin.select_rows = timed
-levels = []
-assemble_level = ea._assemble_level
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        result = fn(*args, **kwargs)
+        record(time.perf_counter() - start, args, result)
+        return result
 
-def counted(*args, **kwargs):
-    levels.append(args[1])
-    return assemble_level(*args, **kwargs)
+    setattr(owner, name, wrapper)
 
-ea._assemble_level = counted
-normalize = []
-normalized_level = ea._normalized_level
-
-def normalized(*args, **kwargs):
-    start = time.perf_counter()
-    result = normalized_level(*args, **kwargs)
-    normalize.append(time.perf_counter() - start)
-    return result
-
-ea._normalized_level = normalized
+spans, levels, normalize, images = [], [], [], []
+wrap(exactlin, "select_rows", lambda t, args, result: spans.append((t, result[2])))
+wrap(ea, "_assemble_level", lambda t, args, result: levels.append(args[1]))
+wrap(ea, "_normalized_level", lambda t, args, result: normalize.append(t))
+wrap(ea, "_images", lambda t, args, result: images.append(t))
 start = time.perf_counter()
 ec = ea.build_complex(p, gt, use_cache=False)
 wall = time.perf_counter() - start
@@ -102,6 +93,7 @@ print(json.dumps({
     "select_rows_calls": len(spans),
     "primes_used": [n for _, n in spans],
     "normalize_s": sum(normalize),
+    "images_s": sum(images),
     "dims": list(ec.dims),
     "ranks": list(ec.ranks),
     "kernel_dims": list(ec.kernel_dims),
@@ -268,7 +260,7 @@ def main(argv=None):
                     runs.append(rec)
                     print(
                         "%-8s p=%d %-6s wall %6.2f s  select_rows %6.2f s  normalize %5.2f s"
-                        "  levels %d  primes %s"
+                        "  images %5.2f s  levels %d  primes %s"
                         % (
                             label,
                             p,
@@ -276,6 +268,7 @@ def main(argv=None):
                             rec["wall_s"],
                             rec["select_rows_s"],
                             rec["normalize_s"],
+                            rec["images_s"],
                             rec["levels_assembled"],
                             rec["primes_used"],
                         ),
@@ -288,7 +281,7 @@ def main(argv=None):
                 mine = [r for r in runs if (r["tree"], r["p"], r["gt"]) == (label, p, gt)]
                 medians.setdefault(label, {})["%d %s" % (p, gt)] = {
                     key: round(statistics.median(r[key] for r in mine), 3)
-                    for key in ("wall_s", "select_rows_s", "normalize_s")
+                    for key in ("wall_s", "select_rows_s", "normalize_s", "images_s")
                 }
     agree = {
         "%d %s" % (p, gt): len(

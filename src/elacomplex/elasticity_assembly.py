@@ -5,35 +5,28 @@ The chain
     V0 --sym_grad--> V1 --rotrot_t--> V2 --Div--> V3
 
 is realized on spaces of polynomial fields over [0,1]^3, with essential
-boundary conditions imposed on a selectable set of box faces.  Every level is
-spanned by fields with exact rational coefficients, and the three operator
-matrices are exact rational matrices.  The inclusions R(A_k) <= V_{k+1} hold
-by construction: the images of the level-k basis fields are themselves used
-as basis candidates for level k+1 (ahead of the generator fields), so an
-image is either a basis vector of the next level or an exactly verified
-rational combination of earlier image basis vectors.  The chain is
-assembled in one pass; strain potentials that close the level-1 cohomology
-are then adjoined to V0, and their images are exactly verified combinations
-of V1's generator basis vectors.  As a consequence the compositions A1*A0
-and A2*A1 vanish identically at the rational stage.
+boundary conditions imposed on a selectable set of box faces.  The images
+of the level-k basis fields are basis candidates for level k+1, ahead of
+the generator fields, so each image is a basis vector of the next level or
+an exactly verified rational combination of earlier image basis vectors.
+The chain is assembled in one pass; strain potentials that close the
+level-1 cohomology are then adjoined to V0, their images exactly verified
+combinations of V1's generator basis vectors.  So A1*A0 and A2*A1 vanish
+identically at the rational stage.
 
-Candidate fields travel through the chain as integer rows: int64
-coefficients on the ambient monomial grid with one denominator per row.
-Each chain operator is an integer matrix on that grid, derived once per
-grid size by applying the `poly_calculus` operator to every unit monomial
-field, so a level's images are one integer product with the previous
-level's rows (guarded against int64 overflow), each reduced to its least
-common denominator.  A level keeps its basis as such integer rows; exact
-rational coordinates and polynomial fields are built from them on first
-use.
+Every exact matrix of the assembly is int64 numerators over int64
+denominators, each entry below 2^62: a level's basis is dense rows on the
+ambient monomial grid, one denominator per row; a grid operator (derived
+once per grid size from `poly_calculus`) is one sparse integer matrix over
+one denominator, so a level's images are one guarded integer product; a
+chain operator (`ExactOperator`) is a sparse integer matrix, one
+denominator per column.  Exact rational coordinates and polynomial fields
+are built from these on first use.
 
-Linear independence of the candidate fields is decided by one call,
-`exactlin.select_rows`: modular echelon elimination with rational
-reconstruction, which checks every dependency it reports by exact rational
-arithmetic on the coefficient rows before returning it.  The kept basis, the
-operator matrices, and all derived integer invariants (ranks, kernel
-dimensions, cohomology dimensions) are therefore certified, not merely
-floating-point estimates.
+Linear independence is decided by `exactlin.select_rows`, which certifies
+every dependency it reports, so the kept bases, the operators and the
+derived integers (ranks, kernel and cohomology dimensions) are certified,
+not floating-point estimates.
 """
 
 import itertools
@@ -42,6 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import eigh
 
 from . import exactlin
@@ -350,12 +344,6 @@ def _coord_row(field, kind, nvar):
     return out, den
 
 
-def _exact_coords(field, kind, nvar):
-    """Coefficients of a field on the monomial grid, {flat_index: rational}."""
-    row, den = _coord_row(field, kind, nvar)
-    return {j: Q(n, den) for j, n in row.items()}
-
-
 def _coord_rows(rows, width):
     """Rows ({flat_index: int}, den) as int64 numerators plus the list of
     row denominators, each below 2^62."""
@@ -371,13 +359,14 @@ def _coord_rows(rows, width):
     return nums, dens
 
 
-def _integer_rows(coord_dicts, width):
-    """Clear denominators per row; int64 numerators plus row denominators."""
-    rows = []
-    for coords in coord_dicts:
-        den = math.lcm(*(int(q.denominator) for q in coords.values()))
-        rows.append(({j: int(q * den) for j, q in coords.items()}, den))
-    return _coord_rows(rows, width)
+def _vector_rows(fields, nvar):
+    """(nums, dens, nvar): the integer rows of vector fields on the smallest
+    grid of at least nvar points per axis that holds them."""
+    expos = (e for f in fields for q in _field_components(f, "vector") for e in q.num)
+    nvar = max([nvar] + [1 + max(e) for e in expos])
+    rows = [_coord_row(f, "vector", nvar) for f in fields]
+    nums, dens = _coord_rows(rows, 3 * nvar**3)
+    return nums, np.array(dens, dtype=np.int64), nvar
 
 
 def _field_from_row(row, den, kind, nvar):
@@ -440,16 +429,21 @@ _OPERATORS = {
 _OPERATOR_CACHE = {}
 
 
+def _read_only(matrix):
+    """Make the arrays of a compressed scipy.sparse matrix read-only."""
+    for a in (matrix.data, matrix.indices, matrix.indptr):
+        a.flags.writeable = False
+
+
 def _operator_matrix(name, in_kind, nvar):
-    """A chain operator on the nvar monomial grid: (rows, vals, den, l1).
+    """A chain operator on the nvar monomial grid: (D, den, l1).
 
     The operator maps the field with coordinate row x to the field with
-    coordinates x @ D / den, where row r of the integer matrix D holds den
+    coordinates x @ D / den, where row r of the int64 CSR matrix D holds den
     times the coordinates of the operator applied to the r-th unit monomial
     field of `in_kind`; so D is derived from `poly_calculus`, which stays
-    the one definition of the operators.  D is sparse and stored by columns,
-    padded to the longest: column j holds vals[t, j] in row rows[t, j].
-    `l1` is the largest column L1 norm of D.
+    the one definition of the operators.  D is read-only, as it is shared
+    by every caller.  `l1` is the largest column L1 norm of D.
     """
     key = (name, in_kind, nvar)
     hit = _OPERATOR_CACHE.get(key)
@@ -466,21 +460,15 @@ def _operator_matrix(name, in_kind, nvar):
         for a, b, c in itertools.product(range(nvar), repeat=3)
     ]
     den = math.lcm(*(d for _, d in images))
-    columns = [[] for _ in range(_KIND_COMPONENTS[_OPERATORS[name]] * nvar**3)]
-    for r, (img, d) in enumerate(images):
-        scale = den // d
-        for j, n in img.items():
-            columns[j].append((r, n * scale))
-    rows = np.zeros((max(map(len, columns)), len(columns)), dtype=np.intp)
-    vals = np.zeros(rows.shape, dtype=np.int64)
-    for j, col in enumerate(columns):
-        for t, (r, v) in enumerate(col):
-            rows[t, j] = r
-            vals[t, j] = v
-    l1 = int(np.abs(vals).sum(axis=0).max())
-    rows.flags.writeable = vals.flags.writeable = False  # shared by every caller
-    _OPERATOR_CACHE[key] = (rows, vals, den, l1)
-    return rows, vals, den, l1
+    rows = [r for r, (img, _) in enumerate(images) for _ in img]
+    cols = [j for img, _ in images for j in img]
+    vals = [n * (den // d) for img, d in images for n in img.values()]
+    shape = (len(images), _KIND_COMPONENTS[_OPERATORS[name]] * nvar**3)
+    D = sparse.csr_matrix((np.array(vals, dtype=np.int64), (rows, cols)), shape)
+    _read_only(D)
+    l1 = int(abs(D).sum(axis=0).max())
+    _OPERATOR_CACHE[key] = (D, den, l1)
+    return D, den, l1
 
 
 def _grid_columns(ncomp, nvar, big):
@@ -495,18 +483,15 @@ def _images(nums, dens, name, in_kind, nvar_in, nvar):
 
     One integer product with the operator matrix, after a check that no
     partial sum can reach 2^62; each image row is then reduced to its least
-    common denominator, which is the form `_integer_rows` gives.  Zero
-    images come back as zero rows.
+    common denominator.  Zero images come back as zero rows.
     """
-    rows, vals, den, l1 = _operator_matrix(name, in_kind, nvar_in)
+    D, den, l1 = _operator_matrix(name, in_kind, nvar_in)
     if nums.size and (
         int(np.abs(nums).max()) * l1 >= _COORD_LIMIT
         or int(dens.max()) * den >= _COORD_LIMIT
     ):
         raise AssemblyError("%s image coordinates exceed 62 bits" % name)
-    out = np.zeros((len(nums), vals.shape[1]), dtype=np.int64)
-    for r, v in zip(rows, vals):
-        out += nums[:, r] * v
+    out = nums @ D
     if nvar_in > nvar:
         inside = _grid_columns(_KIND_COMPONENTS[_OPERATORS[name]], nvar, nvar_in)
         if np.count_nonzero(out) != np.count_nonzero(out[:, inside]):
@@ -690,47 +675,81 @@ def _norm_exponents(kind, nums, dens, nvar):
 
 
 class ExactOperator:
-    """A matrix with exact rational entries, stored column-wise.
+    """A matrix with exact rational entries: column j is nums[:, j] / dens[j].
 
-    Each column is a tuple of (row, value) pairs with nonzero values; a zero
-    column is the empty tuple.
+    `nums` is a read-only int64 CSC matrix and `dens` a read-only int64
+    array, each column in lowest terms (a zero column has denominator 1),
+    the form a ComplexLevel gives its rows.
     """
 
-    __slots__ = ("nrows", "ncols", "cols")
+    __slots__ = ("nums", "dens", "nrows", "ncols")
 
-    def __init__(self, nrows, ncols, cols):
-        if len(cols) != ncols:
-            raise ValueError("expected %d columns, got %d" % (ncols, len(cols)))
-        self.nrows = nrows
-        self.ncols = ncols
-        self.cols = tuple(cols)
+    def __init__(self, nums, dens):
+        _read_only(nums)
+        dens.flags.writeable = False
+        self.nums, self.dens = nums, dens
+        self.nrows, self.ncols = nums.shape
 
     def column(self, j):
-        return dict(self.cols[j])
-
-    def apply(self, vec):
-        """Apply to an exact coefficient vector {index: rational}."""
-        out = {}
-        for j, q in vec.items():
-            for r, v in self.cols[j]:
-                out[r] = out.get(r, 0) + q * v
-        return {r: v for r, v in out.items() if v != 0}
+        """Exact entries {row: rational} of column j."""
+        lo, hi = self.nums.indptr[j], self.nums.indptr[j + 1]
+        den = int(self.dens[j])
+        rows = self.nums.indices[lo:hi].tolist()
+        return {r: Q(n, den) for r, n in zip(rows, self.nums.data[lo:hi].tolist())}
 
     def compose_is_zero(self, first):
-        """Whether self o first vanishes identically (exact arithmetic)."""
+        """Whether self o first vanishes identically: one integer product
+        over the lcm of self.dens, after a check that no partial sum can
+        reach 2^62."""
         if first.nrows != self.ncols:
             raise ValueError("shape mismatch in composition")
-        for j in range(first.ncols):
-            if self.apply(first.column(j)):
-                return False
-        return True
+        dens = self.dens.tolist()
+        lcm = math.lcm(*dens)
+        left = int(abs(self.nums).max()) * (lcm // min(dens))
+        right = int(abs(first.nums).sum(axis=0).max())
+        if left * right >= _COORD_LIMIT:
+            raise AssemblyError("composition entries exceed 62 bits")
+        scale = np.array([lcm // d for d in dens], dtype=np.int64)
+        product = self.nums @ sparse.diags(scale, dtype=np.int64) @ first.nums
+        return not product.count_nonzero()
 
     def to_float(self):
-        out = np.zeros((self.nrows, self.ncols), dtype=np.float64)
-        for j, col in enumerate(self.cols):
-            for r, v in col:
-                out[r, j] = float(v)
+        """The float64 matrix; each entry is its numerator divided by its
+        denominator, correctly rounded, as float() of the rational gives it."""
+        cols = np.repeat(np.arange(self.ncols), np.diff(self.nums.indptr))
+        nums, dens = self.nums.data, self.dens[cols]
+        vals = nums / dens
+        # beyond 2^53 the int64 operands round before the division
+        wide = np.flatnonzero((np.abs(nums) > 2**53) | (dens > 2**53))
+        vals[wide] = [n / d for n, d in zip(nums[wide].tolist(), dens[wide].tolist())]
+        out = np.zeros(self.nums.shape)
+        out[self.nums.indices, cols] = vals
         return out
+
+
+def _exact_operator(nrows, columns, ks):
+    """The ExactOperator whose column j is the sum of q 2^ks[r] at row r
+    over the terms (r, q) of columns[j], q rational and r ascending; each
+    column in lowest terms, every entry below 2^62."""
+    rows, vals, dens, indptr = [], [], [], [0]
+    for terms in columns:
+        fracs = [
+            (int(q.numerator) << max(ks[r], 0), int(q.denominator) << max(-ks[r], 0))
+            for r, q in terms
+        ]
+        den = math.lcm(*(d for _, d in fracs))
+        nums = [n * (den // d) for n, d in fracs]
+        g = math.gcd(den, *nums)
+        rows += [r for r, _ in terms]
+        vals += [n // g for n in nums]
+        dens.append(den // g)
+        indptr.append(len(rows))
+    if max(map(abs, vals + dens), default=0) >= _COORD_LIMIT:
+        raise AssemblyError("operator entries exceed 62 bits")
+    nums = sparse.csc_matrix(
+        (np.array(vals, dtype=np.int64), rows, indptr), shape=(nrows, len(columns))
+    )
+    return ExactOperator(nums, np.array(dens, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -789,14 +808,13 @@ def _normalized_level(kind, nums, dens, provenance, nvar):
     """Build a level from integer rows, each scaled by a power of two to a
     unit-size L2 norm.
 
-    Row i is the field nums[i] / dens[i] on the nvar grid, and scales[i] =
-    2^k_i with k_i = round(log2 ||f_i||) from `_norm_exponents`: float64
-    norms where their error bound decides k_i, the extended-precision
-    `_l2_norms` elsewhere, so the exponents (hence every level basis) are
-    those of `_l2_norms` alone.  Returns (level, scales): the level's field
-    i is row i divided by scales[i], held as a read-only least-denominator
-    integer row; no rational coordinates or polynomial fields are built
-    here.
+    Row i is the field nums[i] / dens[i] on the nvar grid, and k_i =
+    round(log2 ||f_i||) from `_norm_exponents`: float64 norms where their
+    error bound decides k_i, the extended-precision `_l2_norms` elsewhere,
+    so the exponents (hence every level basis) are those of `_l2_norms`
+    alone.  Returns (level, ks): the level's field i is row i divided by
+    2^ks[i], held as a read-only least-denominator integer row; no rational
+    coordinates or polynomial fields are built here.
     """
     ks = _norm_exponents(kind, nums, dens, nvar)
     up, down = np.maximum(-ks, 0), np.maximum(ks, 0)
@@ -817,7 +835,7 @@ def _normalized_level(kind, nums, dens, provenance, nvar):
         provenance=tuple(provenance),
         nvar=nvar,
     )
-    return level, [Q(2) ** k for k in ks.tolist()]
+    return level, ks
 
 
 def _assemble_level(prev_level, op_name, generators, nvar):
@@ -843,32 +861,22 @@ def _assemble_level(prev_level, op_name, generators, nvar):
     provenance += [("generator", g) for g in range(generators.dim)]
     flags = np.arange(len(provenance)) < len(nonzero)
     kept, expansions, nprimes = _select_exact(cand_nums, cand_dens, flags)
-    level, scales = _normalized_level(
+    level, ks = _normalized_level(
         _OPERATORS[op_name],
         cand_nums[kept],
         cand_dens[kept],
         [provenance[i] for i in kept],
         nvar,
     )
-    image_slot = {i: slot for slot, i in enumerate(nonzero)}
+    # candidate row kept[pos] is 2^ks[pos] times basis field pos
     position = {idx: pos for pos, idx in enumerate(kept)}
-    cols = []
-    for i in range(prev_level.dim):
-        slot = image_slot.get(i)
-        if slot is None:
-            cols.append(())
-        elif slot in position:
-            pos = position[slot]
-            cols.append(((pos, scales[pos]),))
+    cols = [[] for _ in range(prev_level.dim)]
+    for slot, i in enumerate(nonzero):
+        if slot in position:
+            cols[i] = [(position[slot], 1)]
         else:
-            cols.append(
-                tuple(
-                    (position[src], coeff * scales[position[src]])
-                    for coeff, src in zip(expansions[slot], kept)
-                    if coeff != 0
-                )
-            )
-    operator = ExactOperator(level.dim, prev_level.dim, cols)
+            cols[i] = [(pos, c) for pos, c in enumerate(expansions[slot]) if c]
+    operator = _exact_operator(level.dim, cols, ks.tolist())
     stats = {
         "operator": op_name,
         "zero_images": prev_level.dim - len(nonzero),
@@ -971,23 +979,6 @@ def vanishes_on_faces(field, bc, kind="vector"):
     return True
 
 
-def _face_trace_coords(field, bc):
-    """Flat coordinates of the field's restrictions to the selected faces.
-
-    Keys combine (face, component, surviving monomial); the map is shared
-    through the returned key order so several fields can be compared.
-    """
-    coords = {}
-    for face in bc.faces:
-        axis = FACE_NAMES.index(face) // 2
-        value = FACE_NAMES.index(face) % 2
-        for comp, poly in enumerate(_field_components(field, "vector")):
-            trace = _face_restriction(poly, axis, value)
-            for expo, coeff in trace.terms.items():
-                coords[(face, comp, expo)] = coeff
-    return coords
-
-
 def _face_compatible_combinations(potentials, bc):
     """Vector fields in span(potentials + rigid motions) vanishing on bc.
 
@@ -1000,20 +991,18 @@ def _face_compatible_combinations(potentials, bc):
     """
     if not bc.faces:
         return list(potentials)
-    rms = rigid_motion_basis().fields
-    cands = list(potentials) + list(rms)
-    keyed = [_face_trace_coords(f, bc) for f in cands]
-    column = {}
-    for coords in keyed:
-        for key in coords:
-            column.setdefault(key, len(column))
-    coord_dicts = [
-        {column[key]: coeff for key, coeff in coords.items()} for coords in keyed
-    ]
-    width = len(column)
-    kept, expansions, _ = _select_exact(
-        *_integer_rows(coord_dicts, width), [True] * len(cands)
-    )
+    cands = list(potentials) + list(rigid_motion_basis().fields)
+    nums, dens, nvar = _vector_rows(cands, 1)
+    if int(np.abs(nums).max()) * nvar >= _COORD_LIMIT:
+        raise AssemblyError("face trace coordinates exceed 62 bits")
+    # the trace on {x_axis = 0} keeps the monomials free of x_axis; on
+    # {x_axis = 1} it sums over the powers of x_axis
+    grid = nums.reshape(len(cands), 3, nvar, nvar, nvar)
+    traces = []
+    for axis, value in sorted(divmod(FACE_NAMES.index(f), 2) for f in bc.faces):
+        trace = grid.sum(axis=2 + axis) if value else grid.take(0, axis=2 + axis)
+        traces.append(trace.reshape(len(cands), -1))
+    kept, expansions, _ = _select_exact(np.hstack(traces), dens, [True] * len(cands))
     m = len(potentials)
     out = []
     for j, coeffs in sorted(expansions.items()):
@@ -1171,19 +1160,14 @@ def _kernel_overflow_fields(ec):
     """
     level1 = ec.levels[1]
     a1 = ec.ops[1]
-    gen_pos = [
-        pos
-        for pos, prov in enumerate(level1.provenance)
-        if prov[0] == "generator"
-    ]
-    for pos, prov in enumerate(level1.provenance):
-        if prov[0] == "image" and a1.cols[pos]:
-            raise AssemblyError("image basis vector with nonzero A1 column")
-    if not gen_pos:
+    generator = np.array([prov[0] == "generator" for prov in level1.provenance])
+    if a1.nums[:, ~generator].count_nonzero():
+        raise AssemblyError("image basis vector with nonzero A1 column")
+    gen_pos = np.flatnonzero(generator)
+    if not gen_pos.size:
         return []
-    columns = [a1.column(pos) for pos in gen_pos]
     kept, expansions, _ = _select_exact(
-        *_integer_rows(columns, ec.levels[2].dim), [True] * len(gen_pos)
+        a1.nums[:, gen_pos].T.toarray(), a1.dens[gen_pos], [True] * len(gen_pos)
     )
     fields = []
     for j, coeffs in sorted(expansions.items()):
@@ -1208,13 +1192,8 @@ def _adjoin_potentials(ec, extras):
     certify rank A0 = rank of `ec`'s A0 + len(extras).
     """
     level0, level1 = ec.levels[0], ec.levels[1]
-    expos = (e for f in extras for q in _field_components(f, "vector") for e in q.num)
-    nvar0 = max([level0.nvar] + [1 + max(e) for e in expos])
-    nums, dens = _coord_rows(
-        [_coord_row(f, "vector", nvar0) for f in extras], 3 * nvar0**3
-    )
+    nums, dens, nvar0 = _vector_rows(extras, level0.nvar)
     provenance = [("generator", level0.dim + e) for e in range(len(extras))]
-    dens = np.array(dens, dtype=np.int64)
     added, _ = _normalized_level("vector", nums, dens, provenance, nvar0)
     nums, dens = _images(
         added.nums, added.dens, "sym_grad", "vector", nvar0, level1.nvar
@@ -1227,11 +1206,16 @@ def _adjoin_potentials(ec, extras):
     )
     if list(kept) != list(range(len(gen))):
         raise AssemblyError("potential image outside the span of the V1 generators")
-    cols = [
-        {gen[j]: c for j, c in enumerate(expansions[len(gen) + e]) if c != 0}
-        for e in range(len(extras))
-    ]
-    if len(_select_exact(*_integer_rows(cols, level1.dim), None)[0]) < len(extras):
+    added_a0 = _exact_operator(
+        level1.dim,
+        [
+            [(g, q) for g, q in zip(gen, expansions[len(gen) + e]) if q]
+            for e in range(len(extras))
+        ],
+        [0] * level1.dim,
+    )
+    rows = added_a0.nums.T.toarray()
+    if len(_select_exact(rows, added_a0.dens, None)[0]) < len(extras):
         raise AssemblyError("adjoined potentials with dependent images")
     nums = np.zeros((level0.dim + added.dim, 3 * nvar0**3), dtype=np.int64)
     nums[: level0.dim, _grid_columns(3, level0.nvar, nvar0)] = level0.nums
@@ -1242,7 +1226,8 @@ def _adjoin_potentials(ec, extras):
         "vector", nums, dens, level0.provenance + added.provenance, nvar0
     )
     a0 = ExactOperator(
-        level1.dim, level0.dim, ec.ops[0].cols + tuple(tuple(c.items()) for c in cols)
+        sparse.hstack([ec.ops[0].nums, added_a0.nums], format="csc"),
+        np.concatenate([ec.ops[0].dens, added_a0.dens]),
     )
     s0 = dict(ec.stats[0], adjoined_images=len(extras))
     s0["nonzero_images"] += len(extras)

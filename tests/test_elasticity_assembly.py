@@ -1,8 +1,11 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elacomplex import elasticity_assembly as ea
 from elacomplex import exactlin
@@ -21,6 +24,22 @@ def _uni_inner(f, g):
             if ca and cb:
                 total += Q(ca) * Q(cb) * Q(1, a + b + 1)
     return total
+
+
+def _exact_coords(field, kind, nvar):
+    """Coefficients of a field on the monomial grid, {flat_index: rational}."""
+    row, den = ea._coord_row(field, kind, nvar)
+    return {j: Q(n, den) for j, n in row.items()}
+
+
+def _integer_rows(coord_dicts, width):
+    """Rows {flat_index: rational} with their denominators cleared: int64
+    numerators over the least common denominator of each row."""
+    rows = []
+    for coords in coord_dicts:
+        den = math.lcm(*(int(q.denominator) for q in coords.values()))
+        rows.append(({j: int(q * den) for j, q in coords.items()}, den))
+    return ea._coord_rows(rows, width)
 
 
 # --- boundary selections ------------------------------------------------------
@@ -281,6 +300,30 @@ def test_face_compatible_rejects_when_no_correction_exists():
     assert out == []
 
 
+@pytest.mark.parametrize("axis", range(3))
+def test_face_compatible_combinations_on_every_face(axis):
+    # u = (1 + t) e_axis, t the axis variable: u - e_axis vanishes on
+    # {t = 0}, u - 2 e_axis on {t = 1}, and nothing on both
+    comps = [Poly3.zero()] * 3
+    comps[axis] = Poly3.constant(1) + Poly3.variable(axis)
+    u = PolyVecField(comps)
+    for face in ea.FACE_NAMES[2 * axis : 2 * axis + 2]:
+        bc = ea.BoundarySelection.parse(face)
+        (combo,) = ea._face_compatible_combinations([u], bc)
+        assert ea.vanishes_on_faces(combo, bc)
+        assert not pc.sym_grad(combo).is_zero()
+    both = ea.BoundarySelection.parse(ea.FACE_NAMES[2 * axis : 2 * axis + 2])
+    assert ea._face_compatible_combinations([u], both) == []
+
+
+def test_face_trace_guard_is_an_assembly_error():
+    # the trace on {x = 1} sums the powers of x: 2^61 (1 + x) sums to 2^62
+    big = Poly3.constant(2**61)
+    u = PolyVecField([big + big * Poly3.variable(0), Poly3.zero(), Poly3.zero()])
+    with pytest.raises(ea.AssemblyError, match="exceed 62 bits"):
+        ea._face_compatible_combinations([u], ea.BoundarySelection.parse("X1"))
+
+
 def test_face_compatible_reconstruction_failure_is_assembly_error(monkeypatch):
     # u's trace on x=0 equals that of the translation e0, so the selection
     # must lift a dependency; with reconstruction disabled no rung succeeds.
@@ -319,7 +362,7 @@ def test_legendre_frame_is_orthonormal():
 
 def test_float_gram_matches_exact_integrals():
     space = ea.build_space("vector", 2, "X0", 1)
-    coords = [ea._exact_coords(f, "vector", 3) for f in space.fields]
+    coords = [_exact_coords(f, "vector", 3) for f in space.fields]
     X = _longdouble_coords(coords, 3 * 3**3)
     G = ea._float_gram(X, 3, 3, ea._KIND_WEIGHTS["vector"])
     exact = np.diag([float(q) for q in space.gram_diag])
@@ -409,7 +452,8 @@ def test_complex_needs_degree_four():
 
 def test_complex_property_exact(complexes_p4):
     for gt in BOUNDARY_CONFIGS:
-        assert complexes_p4[gt].verify_complex_property()
+        # a Python bool, as the JSON of the `complex` report needs it
+        assert complexes_p4[gt].verify_complex_property() is True
 
 
 def test_complex_float_composition_small(complexes_p4):
@@ -477,7 +521,7 @@ def test_level_coords_are_the_coordinates_of_the_fields(complexes_p4, gt):
     for level in complexes_p4[gt].levels:
         assert len(level.coords) == level.dim
         for field, coords in zip(level.fields, level.coords):
-            assert ea._exact_coords(field, level.kind, level.nvar) == coords
+            assert _exact_coords(field, level.kind, level.nvar) == coords
 
 
 def test_levels_hold_integer_rows_and_build_fields_lazily():
@@ -518,8 +562,8 @@ def _random_fields(kind, degree, seed, count=3):
 
 
 def _rows(fields, kind, nvar):
-    coords = [ea._exact_coords(f, kind, nvar) for f in fields]
-    nums, dens = ea._integer_rows(coords, ea._KIND_COMPONENTS[kind] * nvar**3)
+    coords = [_exact_coords(f, kind, nvar) for f in fields]
+    nums, dens = _integer_rows(coords, ea._KIND_COMPONENTS[kind] * nvar**3)
     return nums, np.array(dens, dtype=np.int64)
 
 
@@ -534,14 +578,17 @@ def _as_coords(nums, dens):
 @pytest.mark.parametrize("name,in_kind,op_fun", _OPERATOR_CASES)
 def test_operator_matrices_agree_with_poly_calculus(name, in_kind, op_fun, nvar):
     out_kind = ea._OPERATORS[name]
-    _, _, den, _ = ea._operator_matrix(name, in_kind, nvar)
+    D, den, _ = ea._operator_matrix(name, in_kind, nvar)
     assert den == (2 if name == "sym_grad" else 1)
+    assert D.format == "csr" and D.dtype == np.int64
+    with pytest.raises(ValueError):
+        D.data[0] = 1
     fields = _random_fields(in_kind, nvar - 1, seed=nvar)
     nums, dens = ea._images(*_rows(fields, in_kind, nvar), name, in_kind, nvar, nvar)
-    expected = [ea._exact_coords(op_fun(f), out_kind, nvar) for f in fields]
+    expected = [_exact_coords(op_fun(f), out_kind, nvar) for f in fields]
     assert _as_coords(nums, dens) == expected
     # each image row is in least-denominator form, as _integer_rows gives it
-    ref_nums, ref_dens = ea._integer_rows(expected, nums.shape[1])
+    ref_nums, ref_dens = _integer_rows(expected, nums.shape[1])
     assert np.array_equal(nums, ref_nums) and list(dens) == ref_dens
 
 
@@ -549,7 +596,7 @@ def test_operator_matrix_from_a_larger_grid():
     fields = _random_fields("vector", 4, seed=11)
     nums, dens = ea._images(*_rows(fields, "vector", 7), "sym_grad", "vector", 7, 5)
     expected = [
-        ea._exact_coords(pc.sym_grad(f), "symmetric-tensor", 5) for f in fields
+        _exact_coords(pc.sym_grad(f), "symmetric-tensor", 5) for f in fields
     ]
     assert nums.shape[1] == 6 * 5**3
     assert _as_coords(nums, dens) == expected
@@ -613,7 +660,8 @@ def test_adjoining_potentials_enlarges_only_level_0(complexes_p4, gt):
             new.nvar,
         )
     for old, new in zip(first.ops[1:], ec.ops[1:]):
-        assert (old.nrows, old.ncols, old.cols) == (new.nrows, new.ncols, new.cols)
+        assert np.array_equal(old.nums.toarray(), new.nums.toarray())
+        assert np.array_equal(old.dens, new.dens)
     assert ec.stats[1:] == first.stats[1:]
     # level 0 begins with the first-pass rows, re-embedded on a larger grid
     old0, new0 = first.levels[0], ec.levels[0]
@@ -626,19 +674,23 @@ def test_adjoining_potentials_enlarges_only_level_0(complexes_p4, gt):
     for i in (0, n0 - 1):
         assert (new0.field(i) - old0.field(i)).is_zero()
     # A0 keeps its first-pass columns; the new ones raise its rank by added
-    assert ec.ops[0].cols[:n0] == first.ops[0].cols
+    a0, first_a0 = ec.ops[0], first.ops[0]
+    assert a0.nrows == first_a0.nrows and a0.ncols == n0 + added
+    assert np.array_equal(a0.nums[:, :n0].toarray(), first_a0.nums.toarray())
+    assert np.array_equal(a0.dens[:n0], first_a0.dens)
     generators = {
         pos for pos, prov in enumerate(ec.levels[1].provenance) if prov[0] == "generator"
     }
-    for col in ec.ops[0].cols[n0:]:
-        assert col and {r for r, _ in col} <= generators
+    for j in range(n0, a0.ncols):
+        col = a0.column(j)
+        assert col and set(col) <= generators
     assert ec.ranks[0] == first.ranks[0] + added
     assert ec.stats[0]["adjoined_images"] == added
     assert ec.stats[0]["kept_images"] == first.stats[0]["kept_images"] + added
 
 
 def test_image_product_guard_is_an_assembly_error():
-    l1 = ea._operator_matrix("rotrot_t", "symmetric-tensor", 5)[3]
+    l1 = ea._operator_matrix("rotrot_t", "symmetric-tensor", 5)[2]
     nums = np.zeros((2, 6 * 5**3), dtype=np.int64)
     nums[1, 7] = (2**62 - 1) // l1 + 1  # max|nums| * L1 reaches 2^62
     dens = np.ones(2, dtype=np.int64)
@@ -646,6 +698,128 @@ def test_image_product_guard_is_an_assembly_error():
         ea._images(nums, dens, "rotrot_t", "symmetric-tensor", 5, 5)
     nums[1, 7] -= 1  # just below the bound the product runs
     ea._images(nums, dens, "rotrot_t", "symmetric-tensor", 5, 5)
+
+
+# --- exact operators ------------------------------------------------------------
+
+
+def _operator(nrows, columns):
+    """ExactOperator from columns given as {row: Fraction}."""
+    terms = [[(r, q) for r, q in sorted(col.items()) if q] for col in columns]
+    return ea._exact_operator(nrows, terms, [0] * nrows)
+
+
+def _compose(second, first):
+    """Fraction-dict oracle of the columns of second o first."""
+    out = []
+    for col in first:
+        acc = {}
+        for k, q in col.items():
+            for r, v in second[k].items():
+                acc[r] = acc.get(r, 0) + v * q
+        out.append({r: v for r, v in acc.items() if v})
+    return out
+
+
+@st.composite
+def _wide_terms(draw):
+    """(nrows, columns of terms (row, q), row exponents ks): every q of a
+    column a multiple of 1 / D, D and |numerator| up to 2^55, |ks| <= 3, so
+    the terms q 2^ks[row] are not over one denominator in general."""
+    nrows = draw(st.integers(0, 5))
+    # beyond 2^53 an int64 does not convert to float64 exactly
+    size = st.integers(1, 5) | st.integers(2**53, 2**55) | st.integers(1, 2**55)
+    nonzero = st.builds(lambda n, s: n * s, size, st.sampled_from((1, -1)))
+    ks = draw(st.lists(st.integers(-3, 3), min_size=nrows, max_size=nrows))
+    columns = []
+    for _ in range(draw(st.integers(0, 5))):
+        den = draw(size)
+        rows = sorted(draw(st.sets(st.integers(0, nrows - 1)))) if nrows else []
+        columns.append([(r, Fraction(draw(nonzero), den)) for r in rows])
+    return nrows, columns, ks
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_terms())
+def test_exact_operator_columns_and_floats_match_fractions(case):
+    nrows, columns, ks = case
+    op = ea._exact_operator(nrows, columns, ks)
+    assert (op.nrows, op.ncols) == (nrows, len(columns))
+    assert op.nums.format == "csc" and op.nums.dtype == op.dens.dtype == np.int64
+    ref = np.zeros((nrows, len(columns)))
+    for j, terms in enumerate(columns):
+        col = {r: q * Fraction(2) ** ks[r] for r, q in terms}
+        assert op.column(j) == col
+        # lowest terms over one denominator
+        lo, hi = op.nums.indptr[j : j + 2]
+        assert math.gcd(int(op.dens[j]), *op.nums.data[lo:hi].tolist()) == 1
+        for r, q in col.items():
+            ref[r, j] = float(q)
+    assert op.to_float().tobytes() == ref.tobytes()
+
+
+_SMALL = st.sampled_from([Fraction(0)] * 3) | st.fractions(-20, 20, max_denominator=6)
+_SCALES = st.sampled_from(
+    [Fraction(s * a, b) for s in (1, -1) for a, b in ((1, 2), (2, 3), (3, 1))]
+)
+
+
+@st.composite
+def _cancelling_pair(draw):
+    """Columns of B = [X, X diag(c)] and A = [Y; -diag(c)^-1 Y], so that
+    B A = 0 by cancellation between columns of B over unlike denominators;
+    on half the draws one entry of A is perturbed."""
+    n2, m, n0 = (draw(st.integers(1, 4)) for _ in range(3))
+    X = [{r: draw(_SMALL) for r in range(n2)} for _ in range(m)]
+    Y = [[draw(_SMALL) for _ in range(m)] for _ in range(n0)]
+    c = [draw(_SCALES) for _ in range(m)]
+    second = X + [{r: x * c[k] for r, x in col.items()} for k, col in enumerate(X)]
+    first = [
+        {k: y for k, y in enumerate(col)}
+        | {m + k: -y / c[k] for k, y in enumerate(col)}
+        for col in Y
+    ]
+    if not draw(st.booleans()):
+        j, k = draw(st.integers(0, n0 - 1)), draw(st.integers(0, 2 * m - 1))
+        first[j][k] += draw(st.fractions(-5, 5, max_denominator=4))
+    return n2, second, 2 * m, first
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cancelling_pair())
+def test_exact_operator_composition_matches_fractions(case):
+    n2, second, n1, first = case
+    B, A = _operator(n2, second), _operator(n1, first)
+    assert B.compose_is_zero(A) is not any(_compose(second, first))
+
+
+def test_composition_guard_is_an_assembly_error():
+    first = _operator(2, [{0: Fraction(3), 1: Fraction(-4)}])  # column L1 7
+    with pytest.raises(ValueError, match="shape mismatch"):
+        first.compose_is_zero(first)
+    big = (2**62 - 1) // 7 + 1  # max|nums| * L1 reaches 2^62
+    second = _operator(1, [{0: Fraction(big)}, {}])
+    with pytest.raises(ea.AssemblyError, match="exceed 62 bits"):
+        second.compose_is_zero(first)
+    second = _operator(1, [{0: Fraction(big - 1)}, {}])  # just below: runs
+    assert second.compose_is_zero(first) is False
+    # over the lcm 12 of the denominators the bound scales the largest
+    # numerator by 12 / 3: 4 m * 7 reaches 2^62
+    m = (big + 3) // 4 | 1
+    second = _operator(1, [{0: Fraction(1, 3)}, {0: Fraction(m, 4)}])
+    with pytest.raises(ea.AssemblyError, match="exceed 62 bits"):
+        second.compose_is_zero(first)
+
+
+def test_exact_operator_entries_beyond_62_bits_are_an_assembly_error():
+    with pytest.raises(ea.AssemblyError, match="exceed 62 bits"):
+        _operator(1, [{0: Fraction(2**62)}])
+    with pytest.raises(ea.AssemblyError, match="exceed 62 bits"):
+        ea._exact_operator(1, [[(0, Fraction(2**59))]], [3])
+    # the lcm of the denominators of one column
+    with pytest.raises(ea.AssemblyError, match="exceed 62 bits"):
+        _operator(2, [{0: Fraction(1, 2**31 + 11), 1: Fraction(1, 2**31 + 1)}])
+    _operator(1, [{0: Fraction(2**62 - 1, 2**62 - 3)}])
 
 
 def test_float_ranks_agree_with_exact_certificates(complexes_p4):
@@ -697,7 +871,7 @@ def _korn_field_grams(p, gt):
     ):
         ncomp = ea._KIND_COMPONENTS[kind]
         X = _longdouble_coords(
-            [ea._exact_coords(S, kind, nvar) for S in tensors], ncomp * nvar**3
+            [_exact_coords(S, kind, nvar) for S in tensors], ncomp * nvar**3
         )
         grams.append(ea._float_gram(X, ncomp, nvar, ea._KIND_WEIGHTS[kind]))
     return grams
