@@ -703,8 +703,12 @@ class ExactOperator:
         reach 2^62."""
         if first.nrows != self.ncols:
             raise ValueError("shape mismatch in composition")
+        if not (self.nums.count_nonzero() and first.nums.count_nonzero()):
+            return True
         dens = self.dens.tolist()
         lcm = math.lcm(*dens)
+        # both factors are nonzero, so left * right >= lcm // min(dens), the
+        # largest scale
         left = int(abs(self.nums).max()) * (lcm // min(dens))
         right = int(abs(first.nums).sum(axis=0).max())
         if left * right >= _COORD_LIMIT:
@@ -714,16 +718,14 @@ class ExactOperator:
         return not product.count_nonzero()
 
     def to_float(self):
-        """The float64 matrix; each entry is its numerator divided by its
-        denominator, correctly rounded, as float() of the rational gives it."""
+        """The float64 matrix; Python's int / int rounds each entry
+        correctly, as float() of the rational does."""
         cols = np.repeat(np.arange(self.ncols), np.diff(self.nums.indptr))
-        nums, dens = self.nums.data, self.dens[cols]
-        vals = nums / dens
-        # beyond 2^53 the int64 operands round before the division
-        wide = np.flatnonzero((np.abs(nums) > 2**53) | (dens > 2**53))
-        vals[wide] = [n / d for n, d in zip(nums[wide].tolist(), dens[wide].tolist())]
+        dens = self.dens[cols].tolist()
         out = np.zeros(self.nums.shape)
-        out[self.nums.indices, cols] = vals
+        out[self.nums.indices, cols] = [
+            n / d for n, d in zip(self.nums.data.tolist(), dens)
+        ]
         return out
 
 
@@ -988,6 +990,12 @@ def _face_compatible_combinations(potentials, bc):
     six rigid-motion corrections.  Solved exactly; for a nonempty selection
     no nonzero rigid motion vanishes on a face, hence the returned fields
     carry independent strain combinations.
+
+    The solve takes the face traces on the candidates' int64 grid rows,
+    guarded by a bound on every numerator.  Each returned field is then
+    checked by `vanishes_on_faces`, whose `_face_restriction` on Poly3
+    coefficients defines the trace a second time on purpose: it is the
+    independent verifier here and the oracle of the tests.
     """
     if not bc.faces:
         return list(potentials)

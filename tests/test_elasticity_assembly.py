@@ -809,6 +809,15 @@ def test_composition_guard_is_an_assembly_error():
     second = _operator(1, [{0: Fraction(1, 3)}, {0: Fraction(m, 4)}])
     with pytest.raises(ea.AssemblyError, match="exceed 62 bits"):
         second.compose_is_zero(first)
+    # denominators whose lcm over the smallest is far beyond int64: an
+    # error when both factors are nonzero, no scale built when one is zero
+    dens = (3, 2**61 - 1, 2**61 - 3)
+    second = _operator(1, [{0: Fraction(1, d)} for d in dens])
+    nonzero = _operator(3, [{2: Fraction(1)}])
+    with pytest.raises(ea.AssemblyError, match="exceed 62 bits"):
+        second.compose_is_zero(nonzero)
+    assert second.compose_is_zero(_operator(3, [{}, {}])) is True
+    assert _operator(1, [{}, {}, {}]).compose_is_zero(nonzero) is True
 
 
 def test_exact_operator_entries_beyond_62_bits_are_an_assembly_error():
