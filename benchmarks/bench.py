@@ -23,9 +23,11 @@ start-up, imports and, for the p=4 verbs, the exact assembly, with its exit
 code and the sha256 of its report.
 
 With several trees, the trees of one repeat run in alternating order.  The
-output holds every run, the per-tree medians, whether all runs of each case
-agree (on the integers and `meta`, or on exit code and report digest), and
-the facts of the machine: nproc, Python, numpy, BLAS and its thread pin, and
+output holds every run, a per-tree `summary` of each timing as [min,
+median, max] over the repeats (the spread shows how far a median can be
+trusted on a shared box), whether all runs of each case agree (on the
+integers and `meta`, or on exit code and report digest), and the facts of
+the machine: nproc, Python, numpy, BLAS and its thread pin, and
 the rational backend of each tree.  OpenBLAS is pinned to at most two
 threads, as in perfbench.
 """
@@ -123,6 +125,12 @@ from elacomplex import cli
 sys.exit(cli.main(sys.argv[1:]))
 """
 
+def spread(values):
+    """[min, median, max] of a tree's runs of one case, rounded to 1 ms."""
+    values = list(values)
+    return [round(v, 3) for v in (min(values), statistics.median(values), max(values))]
+
+
 def _child_env(*paths):
     return dict(
         os.environ,
@@ -175,20 +183,16 @@ def verb_doc(trees, repeat):
                     % (label, name, rec["wall_s"], rec["exit"], rec["sha256"][:12]),
                     flush=True,
                 )
-    medians = {
-        label: {
-            name: round(
-                statistics.median(
-                    r["wall_s"] for r in runs if (r["tree"], r["verb"]) == (label, name)
-                ),
-                3,
-            )
+    summary = {}
+    for label, _ in trees:
+        mine = [r for r in runs if r["tree"] == label]
+        per_verb = summary[label] = {
+            name: spread(r["wall_s"] for r in mine if r["verb"] == name)
             for name in sorted(calls)
         }
-        for label, _ in trees
-    }
-    for per_verb in medians.values():
-        per_verb["total"] = round(sum(per_verb.values()), 3)
+        per_verb["total"] = spread(
+            sum(r["wall_s"] for r in mine if r["repeat"] == rep) for rep in range(repeat)
+        )
     agree = {
         name: len({(r["exit"], r["sha256"]) for r in runs if r["verb"] == name}) == 1
         for name in sorted(calls)
@@ -210,7 +214,7 @@ def verb_doc(trees, repeat):
         "repeat": repeat,
         "machine": {"nproc": len(os.sched_getaffinity(0)), "blas_threads": int(BLAS_THREADS)},
         "facts": facts,
-        "medians": medians,
+        "summary": summary,
         "digests_agree": agree,
         "runs": runs,
     }
@@ -274,13 +278,13 @@ def main(argv=None):
                         ),
                         flush=True,
                     )
-    medians = {}
+    summary = {}
     for label, _ in trees:
         for p in args.degrees:
             for gt in SELECTIONS:
                 mine = [r for r in runs if (r["tree"], r["p"], r["gt"]) == (label, p, gt)]
-                medians.setdefault(label, {})["%d %s" % (p, gt)] = {
-                    key: round(statistics.median(r[key] for r in mine), 3)
+                summary.setdefault(label, {})["%d %s" % (p, gt)] = {
+                    key: spread(r[key] for r in mine)
                     for key in ("wall_s", "select_rows_s", "normalize_s", "images_s")
                 }
     agree = {
@@ -302,7 +306,7 @@ def main(argv=None):
         "repeat": args.repeat,
         "machine": {"nproc": len(os.sched_getaffinity(0)), "blas_threads": int(BLAS_THREADS)},
         "facts": facts,
-        "medians": medians,
+        "summary": summary,
         "results_agree": agree,
         "runs": [{k: v for k, v in r.items() if k != "facts"} for r in runs],
     }

@@ -116,13 +116,11 @@ def incidence_betti(cells):
     return (b0, b1, b2, b3)
 
 
-def cubical_complex(cells, grams=None, tol=1e-12):
-    """FiniteComplex over the voxel set (identity Grams by default)."""
+def cubical_complex(cells):
+    """FiniteComplex over the voxel set, with identity Grams."""
     (d0, d1, d2), (verts, edges, faces, cs) = build_cubical(cells)
-    dims = (len(verts), len(edges), len(faces), len(cs))
-    if grams is None:
-        grams = [np.eye(d) for d in dims]
-    return FiniteComplex(grams, [d.astype(np.float64) for d in (d0, d1, d2)], tol=tol)
+    grams = [np.eye(len(x)) for x in (verts, edges, faces, cs)]
+    return FiniteComplex(grams, [d.astype(np.float64) for d in (d0, d1, d2)])
 
 
 def solid_box_cells(nx=2, ny=2, nz=2):

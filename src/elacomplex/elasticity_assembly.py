@@ -513,32 +513,21 @@ def _legendre_frame(nvar):
 
     Returns W with W[k, a] = T[k, a] / sqrt(2k+1), where x^a =
     sum_k T[k, a] Ltilde_k and Ltilde_k is the integer-coefficient Legendre
-    polynomial shifted to [0, 1] with squared norm 1/(2k+1); rows of W @ m
-    are therefore coordinates in an orthonormal univariate frame.  Assembled
+    polynomial shifted to [0, 1] with squared norm 1/(2k+1) (the factor
+    basis `univariate_factor_basis(nvar - 1, 0, 0)`); rows of W @ m are
+    therefore coordinates in an orthonormal univariate frame.  Assembled
     exactly and rounded once per entry.
     """
     cached = _LEGENDRE_CACHE.get(nvar)
     if cached is not None:
         return cached
-    polys = [[Q(1)], [Q(-1), Q(2)]]
-    while len(polys) < nvar:
-        k = len(polys) - 1
-        prev, cur = polys[-2], polys[-1]
-        nxt = [Q(0)] * (len(cur) + 1)
-        for j, c in enumerate(cur):
-            nxt[j + 1] += Q(2 * (2 * k + 1), k + 1) * c
-            nxt[j] -= Q(2 * k + 1, k + 1) * c
-        for j, c in enumerate(prev):
-            nxt[j] -= Q(k, k + 1) * c
-        polys.append(nxt)
+    polys, norms = univariate_factor_basis(nvar - 1, 0, 0)
     W = np.zeros((nvar, nvar), dtype=np.longdouble)
-    for k, coeffs in enumerate(polys[:nvar]):
+    for k, (coeffs, norm) in enumerate(zip(polys, norms)):
         for a in range(nvar):
-            t = (2 * k + 1) * sum(
-                c * Q(1, a + j + 1) for j, c in enumerate(coeffs)
-            )
+            t = sum(Q(c, a + j + 1) for j, c in enumerate(coeffs)) / norm
             W[k, a] = np.longdouble(t.numerator) / np.longdouble(t.denominator)
-        W[k] /= np.sqrt(np.longdouble(2 * k + 1))
+        W[k] /= np.sqrt(np.longdouble(1 / norm))
     _LEGENDRE_CACHE[nvar] = W
     return W
 
@@ -877,7 +866,7 @@ def _assemble_level(prev_level, op_name, generators, nvar):
         if slot in position:
             cols[i] = [(position[slot], 1)]
         else:
-            cols[i] = [(pos, c) for pos, c in enumerate(expansions[slot]) if c]
+            cols[i] = [(position[k], c) for k, c in expansions[slot].items()]
     operator = _exact_operator(level.dim, cols, ks.tolist())
     stats = {
         "operator": op_name,
@@ -1010,21 +999,17 @@ def _face_compatible_combinations(potentials, bc):
     for axis, value in sorted(divmod(FACE_NAMES.index(f), 2) for f in bc.faces):
         trace = grid.sum(axis=2 + axis) if value else grid.take(0, axis=2 + axis)
         traces.append(trace.reshape(len(cands), -1))
-    kept, expansions, _ = _select_exact(np.hstack(traces), dens, [True] * len(cands))
+    _, expansions, _ = _select_exact(np.hstack(traces), dens, [True] * len(cands))
     m = len(potentials)
     out = []
     for j, coeffs in sorted(expansions.items()):
         combo = cands[j]
-        for c, k in zip(coeffs, kept):
-            if c != 0:
-                combo = combo - cands[k].scale(c)
+        for k, c in coeffs.items():
+            combo = combo - cands[k].scale(c)
         if not vanishes_on_faces(combo, bc):
             raise AssemblyError("face-compatibility solve failed to verify")
-        strain_weight = any(
-            (1 if i == j else 0) - (coeffs[kept.index(i)] if i in kept else 0) != 0
-            for i in range(m)
-        )
-        if not strain_weight:
+        # a combination with no weight on a potential is a rigid motion
+        if not (j < m or any(i < m for i in coeffs)):
             raise AssemblyError("rigid motion vanishing on a selected face")
         out.append(combo)
     return out
@@ -1109,7 +1094,7 @@ class ElasticityComplex:
             self._float["grams"] = grams
         return grams
 
-    def finite_complex(self, g1=None, g2=None, tol=1e-12):
+    def finite_complex(self, g1=None, g2=None):
         """Float FiniteComplex; g1/g2 replace the weights on V1/V2."""
         if g1 is None and g2 is None and "complex" in self._float:
             return self._float["complex"]
@@ -1123,7 +1108,7 @@ class ElasticityComplex:
         if ops is None:
             ops = tuple(op.to_float() for op in self.ops)
             self._float["ops"] = ops
-        cx = fa.FiniteComplex(grams, list(ops), tol=tol)
+        cx = fa.FiniteComplex(grams, list(ops))
         if g1 is None and g2 is None:
             self._float["complex"] = cx
         return cx
@@ -1174,15 +1159,14 @@ def _kernel_overflow_fields(ec):
     gen_pos = np.flatnonzero(generator)
     if not gen_pos.size:
         return []
-    kept, expansions, _ = _select_exact(
+    _, expansions, _ = _select_exact(
         a1.nums[:, gen_pos].T.toarray(), a1.dens[gen_pos], [True] * len(gen_pos)
     )
     fields = []
     for j, coeffs in sorted(expansions.items()):
         f = level1.field(gen_pos[j])
-        for c, k in zip(coeffs, kept):
-            if c != 0:
-                f = f - level1.field(gen_pos[k]).scale(c)
+        for k, c in coeffs.items():
+            f = f - level1.field(gen_pos[k]).scale(c)
         if f.is_zero():
             raise AssemblyError("zero overflow field")
         fields.append(f)
@@ -1217,7 +1201,7 @@ def _adjoin_potentials(ec, extras):
     added_a0 = _exact_operator(
         level1.dim,
         [
-            [(g, q) for g, q in zip(gen, expansions[len(gen) + e]) if q]
+            [(gen[k], q) for k, q in expansions[len(gen) + e].items()]
             for e in range(len(extras))
         ],
         [0] * level1.dim,
@@ -1489,7 +1473,7 @@ def korn_constant(p, gt="none"):
 # ---------------------------------------------------------------------------
 
 
-def dirichlet_neumann_fields(p, gt="none", eps=None, tol=None):
+def dirichlet_neumann_fields(p, gt="none", eps=None):
     """Cohomology report at the symmetric-tensor level V1.
 
     `eps` optionally replaces the V1 Gram by another SPD matrix (a weight);
@@ -1497,4 +1481,4 @@ def dirichlet_neumann_fields(p, gt="none", eps=None, tol=None):
     """
     ec = build_complex(p, gt)
     cx = ec.finite_complex(g1=eps)
-    return fa.cohomology(cx, 1, tol=tol)
+    return fa.cohomology(cx, 1)

@@ -4,7 +4,8 @@ The assembly stage and the de Rham oracle need one primitive on rational
 row matrices: `select_rows`, which selects a maximal linearly independent
 subset of rows in a fixed order (earlier rows win ties) and returns, for
 designated dependent rows, the exact rational expansion over the kept rows
-that precede them.  The number of kept rows is the certified rank.
+that precede them, as {kept row: nonzero coefficient}.  The number of kept
+rows is the certified rank.
 
 Each prime runs one reduced row echelon form of the transposed residue
 matrix in float64 (residues below 2^26 keep every product below 2^53,
@@ -24,9 +25,10 @@ dependent row, flagged or not, is lifted to rationals by CRT plus Wang's
 rational reconstruction and checked exactly (modulo word-size check primes
 whose product exceeds a bound on both sides of the identity), which proves
 the row dependent; so the kept set is the greedy selection over Q.  One
-prime is the normal case: the prime set grows one prime at a time, reusing
-the passes already run, only while a lift fails or does not verify, so a
-wrong lift can only fail loudly (`ReconstructionFailure`), never pass.
+prime is the normal case: the prime set grows one prime at a time, one
+pass per prime, reusing the passes already run, only while a lift fails or
+does not verify, so a wrong lift can only fail loudly
+(`ReconstructionFailure`), never pass.
 """
 
 from math import gcd, isqrt, lcm, log2
@@ -67,10 +69,6 @@ CHECK_PRIMES = (
     1048433,
 )
 _CHECK_BLOCK = 1 << 13
-
-# rung sizes of the prime ladder of select_rows
-_LADDER = (1, 2, 3, 5, 8, 12)
-
 
 class ReconstructionFailure(RuntimeError):
     """Rational lift could not be certified with the available primes."""
@@ -288,10 +286,11 @@ def select_rows(nums, dens=None, expand_flags=None, primes=None):
     expand_flags: boolean mask of rows whose dependency (if any) must be
     returned as an exact rational expansion over earlier kept rows.
 
-    Returns (kept_indices, expansions, primes_used): expansions maps a
-    dependent flagged row index to a list of Q aligned with kept_indices
-    (zeros for kept rows that come after it), and primes_used is the number
-    of primes of the rung that succeeded.
+    Returns (kept_indices, expansions, primes_used): expansions maps each
+    dependent flagged row j to its expansion {i: q}, where every key i is a
+    kept row before j and every q a nonzero rational, so that
+    nums[j] / dens[j] == sum(q * nums[i] / dens[i]); primes_used is the
+    number of modular passes run.
 
     The result is certified.  Kept rows are independent over Q, because
     independence mod one prime implies it.  Every dependent row, flagged or
@@ -300,42 +299,40 @@ def select_rows(nums, dens=None, expand_flags=None, primes=None):
     row dependent over Q; so the kept set is exactly the greedy selection
     over Q and its size the rank.
 
-    The attempts climb a ladder of 1, 2, 3, 5, 8 and 12 primes over the
-    primes of PRIMES that divide no denominator, one RREF pass per prime:
-    a rung adds passes to those of the rungs below it and lifts from all of
-    them, dropping passes whose kept set cannot be the one over Q (see
-    `_lift`).  One prime is the normal case.  With `primes` given, exactly
-    one attempt runs with exactly those primes; a prime that divides a
-    denominator raises ReconstructionFailure.  ReconstructionFailure is
-    raised when no attempt yields a verified selection.
+    The pool is `primes` when given (a pool prime that divides a
+    denominator raises ReconstructionFailure), else the primes of PRIMES
+    that divide no denominator.  Each turn adds one RREF pass, with the
+    next prime of the pool, and lifts from all passes so far, dropping
+    those whose kept set cannot be the one over Q (see `_lift`); the first
+    lift that verifies is returned.  One prime is the normal case.
+    ReconstructionFailure is raised when the pool runs out first.
     """
-    n, m = nums.shape
     nums = np.ascontiguousarray(nums, dtype=np.int64)
+    n = len(nums)
     dens = np.ones(n, dtype=np.int64) if dens is None else np.asarray(dens)
     flags = np.zeros(n, dtype=bool) if expand_flags is None else expand_flags
-    if primes is not None:
-        if any(np.any(dens % p == 0) for p in primes):
-            raise ReconstructionFailure("a prime divides a row denominator")
-        pool, ladder = tuple(primes), (len(primes),)
+    if primes is None:
+        pool = [p for p in PRIMES if np.all(dens % p)]
+    elif any(np.any(dens % p == 0) for p in primes):
+        raise ReconstructionFailure("a prime divides a row denominator")
     else:
-        pool, ladder = tuple(p for p in PRIMES if np.all(dens % p)), _LADDER
-    rungs = sorted({min(k, len(pool)) for k in ladder} - {0})
+        pool = list(primes)
     passes = []
-    for k in rungs:
-        for p in pool[len(passes) : k]:
-            passes.append(_select_mod_p(mod_rows(nums, dens, p), p))
+    for p in pool:
+        passes.append(_select_mod_p(mod_rows(nums, dens, p), p))
         try:
             kept, values, index = _lift(passes, pool)
         except ReconstructionFailure:
             continue
         if _expansions_hold(nums, dens, kept, values, index):
             dependent = np.setdiff1d(np.arange(n), kept).tolist()
-            expansions = {
-                j: [values[u] for u in row]
-                for j, row in zip(dependent, index.tolist())
-                if flags[j]
-            }
-            return kept, expansions, k
+            expansions = {}
+            for j, row in zip(dependent, index):
+                if flags[j]:
+                    (nz,) = np.nonzero(row)
+                    pairs = zip(nz.tolist(), row[nz].tolist())
+                    expansions[j] = {kept[k]: values[u] for k, u in pairs}
+            return kept, expansions, len(passes)
     raise ReconstructionFailure(
-        "no verified selection with up to %d primes" % max(rungs, default=0)
+        "no verified selection with up to %d primes" % len(passes)
     )

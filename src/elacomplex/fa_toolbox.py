@@ -196,7 +196,7 @@ def kernel_basis(A, g, tol=None):
     """G-orthonormal basis of N(A), columns of the returned matrix."""
     A = np.asarray(A, dtype=np.float64)
     n = g.dim
-    if A.shape[0] == 0 or not A.size:
+    if not A.size:
         A = np.zeros((1, n))
     At = _transformed(A, g)
     U, s, Vt = np.linalg.svd(At, full_matrices=True)
@@ -592,12 +592,8 @@ def kernel_projector_images(cx, n=1, tol=None):
     g = cx.gram(n)
     A_n = cx.op(n)
     A_prev = cx.op(n - 1)
-    kn = kernel_basis(
-        A_n if A_n.size else np.zeros((1, g.dim)), g, tol=tol
-    )
-    kstar = kernel_basis(
-        A_prev.T @ g.G if A_prev.size else np.zeros((1, g.dim)), g, tol=tol
-    )
+    kn = kernel_basis(A_n, g, tol=tol)
+    kstar = kernel_basis(A_prev.T @ g.G, g, tol=tol)
     pi_star = kstar @ kstar.T @ g.G  # G-orthogonal projector onto N(A*)
     pi_ker = kn @ kn.T @ g.G
     harm = cohomology(cx, n, tol=tol).basis
@@ -644,9 +640,7 @@ def pre_basis_check(B, cx, n=1, tol=None):
             % (B.shape[1], d)
         )
     A_prev = cx.op(n - 1)
-    kstar = kernel_basis(
-        A_prev.T @ g.G if A_prev.size else np.zeros((1, g.dim)), g, tol=tol
-    )
+    kstar = kernel_basis(A_prev.T @ g.G, g, tol=tol)
     pi_star = kstar @ kstar.T @ g.G
     projected = pi_star @ B
     proj_rank = _span_rank(projected, g, tol)

@@ -1,0 +1,37 @@
+"""The cold-run benchmark script `benchmarks/bench.py` against the package.
+
+Its child process wraps `exactlin.select_rows` (reading the third result,
+the primes used), `_assemble_level`, `_normalized_level` and `_images` by
+name.  A rename there breaks no other test but empties or breaks the
+benchmark's counters, so one cold p=4 run of the child runs here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_bench():
+    spec = importlib.util.spec_from_file_location(
+        "benchmarks_bench", ROOT / "benchmarks" / "bench.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_child_records_every_counter():
+    rec = _load_bench().run_one(ROOT / "src", 4, "all")
+    assert rec["levels_assembled"] == 3
+    # three levels and the kernel-overflow solve, one prime each
+    assert rec["select_rows_calls"] == 4
+    assert rec["primes_used"] == [1, 1, 1, 1]
+    assert 0 < rec["select_rows_s"] < rec["wall_s"]
+    assert 0 < rec["normalize_s"] < rec["wall_s"]
+    assert 0 < rec["images_s"] < rec["wall_s"]
+    assert rec["dims"] and rec["ranks"]
+
+
+def test_spread_is_min_median_max():
+    assert _load_bench().spread([0.3, 0.1004, 0.2, 0.9]) == [0.1, 0.25, 0.9]

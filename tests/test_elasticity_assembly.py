@@ -326,12 +326,32 @@ def test_face_trace_guard_is_an_assembly_error():
 
 def test_face_compatible_reconstruction_failure_is_assembly_error(monkeypatch):
     # u's trace on x=0 equals that of the translation e0, so the selection
-    # must lift a dependency; with reconstruction disabled no rung succeeds.
+    # must lift a dependency; with reconstruction disabled no prime succeeds.
     monkeypatch.setattr(exactlin, "rat_reconstruct", lambda a, m: None)
     x = Poly3.variable(0)
     u = PolyVecField([Poly3.constant(1) + x, Poly3.zero(), Poly3.zero()])
     with pytest.raises(ea.AssemblyError):
         ea._face_compatible_combinations([u], ea.BoundarySelection.parse("X0"))
+
+
+def test_face_compatible_combination_without_a_potential_is_rejected(monkeypatch):
+    # a fake solve whose only combination, of candidates 1 and 2, weighs
+    # rigid motions alone (candidate 0 is the one potential)
+    x = Poly3.variable(0)
+    u = PolyVecField([x * x, Poly3.zero(), Poly3.zero()])
+    bc = ea.BoundarySelection.parse("X0")
+    monkeypatch.setattr(ea, "vanishes_on_faces", lambda field, bc: True)
+    monkeypatch.setattr(
+        ea, "_select_exact", lambda nums, dens, flags: ([0, 1], {2: {1: Q(1)}}, 1)
+    )
+    with pytest.raises(ea.AssemblyError, match="rigid motion"):
+        ea._face_compatible_combinations([u], bc)
+    # weight on the potential, as a key or as the expanded row, passes
+    for exps in ({2: {0: Q(1), 1: Q(1)}}, {0: {}}):
+        monkeypatch.setattr(
+            ea, "_select_exact", lambda nums, dens, flags, e=exps: ([1], e, 1)
+        )
+        assert len(ea._face_compatible_combinations([u], bc)) == 1
 
 
 # --- float frames -------------------------------------------------------------
@@ -358,6 +378,23 @@ def test_legendre_frame_is_orthonormal():
     )
     err = np.max(np.abs(W.T @ W - M))
     assert float(err) < 1e-16
+
+
+def test_legendre_frame_matches_closed_form_legendre_coefficients():
+    # Ltilde_k(x) = sum_j (-1)^(k+j) C(k, j) C(k+j, j) x^j, squared norm
+    # 1/(2k+1); each entry rounded once from its exact value
+    for nvar in range(1, 11):
+        want = np.zeros((nvar, nvar), dtype=np.longdouble)
+        for k in range(nvar):
+            for a in range(nvar):
+                t = (2 * k + 1) * sum(
+                    Fraction((-1) ** (k + j) * math.comb(k, j) * math.comb(k + j, j))
+                    / (a + j + 1)
+                    for j in range(k + 1)
+                )
+                want[k, a] = np.longdouble(t.numerator) / np.longdouble(t.denominator)
+            want[k] /= np.sqrt(np.longdouble(2 * k + 1))
+        assert np.array_equal(ea._legendre_frame(nvar), want)
 
 
 def test_float_gram_matches_exact_integrals():
@@ -483,6 +520,17 @@ def test_level1_harmonic_dim_stable_in_degree(complexes_p4, complexes_p5):
         assert (
             complexes_p4[gt].harmonic_dims[1] == complexes_p5[gt].harmonic_dims[1]
         )
+
+
+def test_primes_used_per_level_at_p5(complexes_p5):
+    # one prime per selection, except level 0 of X0, whose first lift fails
+    used = {gt: [s["primes_used"] for s in ec.stats] for gt, ec in complexes_p5.items()}
+    assert used == {
+        "none": [1, 1, 1],
+        "X0": [2, 1, 1],
+        "X0,X1": [1, 1, 1],
+        "all": [1, 1, 1],
+    }
 
 
 def test_enlargement_bookkeeping(complexes_p4):

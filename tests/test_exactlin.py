@@ -95,7 +95,8 @@ def test_select_rows_expansions_exact():
     dens = rng.integers(1, 4, size=n).astype(np.int64)
     flags = np.ones(n, dtype=bool)
     kept, exps, used = xl.select_rows(nums, dens, flags, primes=xl.PRIMES[:3])
-    assert used == 3
+    # the pool grows one prime at a time: one prime does not lift, two do
+    assert used == 2
     frac_rows = [
         [Fraction(int(x), int(d)) for x in row] for row, d in zip(nums, dens)
     ]
@@ -103,9 +104,7 @@ def test_select_rows_expansions_exact():
     for idx, coeffs in exps.items():
         target = [Q(int(x), int(dens[idx])) for x in nums[idx]]
         acc = [Q(0)] * m
-        for c, krow in zip(coeffs, kept):
-            if c == 0:
-                continue
+        for krow, c in coeffs.items():
             dk = int(dens[krow])
             for j in range(m):
                 acc[j] += c * Q(int(nums[krow][j]), dk)
@@ -193,14 +192,46 @@ def test_select_rows_oracle_cases(case):
     assert kept == brute_select(rows)
     assert sorted(exps) == sorted(set(range(n)) - set(kept))
     for idx, coeffs in exps.items():
-        assert len(coeffs) == len(kept)
-        assert all(c == 0 for c, k in zip(coeffs, kept) if k > idx)
+        assert all(k in kept and k < idx and c != 0 for k, c in coeffs.items())
         for j in range(m):
             total = sum(
                 Fraction(c.numerator, c.denominator) * rows[k][j]
-                for c, k in zip(coeffs, kept)
+                for k, c in coeffs.items()
             )
             assert total == rows[idx][j]
+
+
+@st.composite
+def _rational_rows(draw):
+    """Low-rank rational rows nums[i] / dens[i] with zero and repeated rows,
+    and a random mask of rows to expand."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    rank = draw(st.integers(0, min(n, m)))
+    small = st.integers(-4, 4)
+    base = [draw(st.lists(small, min_size=m, max_size=m)) for _ in range(rank)]
+    nums = []
+    for _ in range(n):
+        mix = draw(st.lists(small, min_size=rank, max_size=rank))
+        nums.append([sum(c * b[k] for c, b in zip(mix, base)) for k in range(m)])
+    dens = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return np.array(nums, dtype=np.int64).reshape(n, m), dens, flags
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_rows())
+def test_select_rows_sparse_expansions_match_fraction_oracle(case):
+    nums, dens, flags = case
+    kept, exps, _ = xl.select_rows(nums, dens, flags)
+    rows = _frac_rows(nums, dens)
+    assert kept == brute_select(rows)
+    assert set(exps) == {j for j in range(len(rows)) if flags[j] and j not in kept}
+    for j, coeffs in exps.items():
+        assert all(i in kept and i < j and q != 0 for i, q in coeffs.items())
+        total = [Fraction(0)] * nums.shape[1]
+        for i, q in coeffs.items():
+            total = [t + q * x for t, x in zip(total, rows[i])]
+        assert total == rows[j]
 
 
 def test_select_mod_p_returns_expansions_as_copies():
@@ -302,12 +333,12 @@ def test_select_rows_multiblock_stress_vs_oracle():
         for j in range(m):
             total = sum(
                 Fraction(c.numerator, c.denominator) * frac_rows[k][j]
-                for c, k in zip(coeffs, kept)
+                for k, c in coeffs.items()
             )
             assert total == frac_rows[idx][j]
 
 
-# --- the prime ladder and the exact check --------------------------------------
+# --- the growing prime pool and the exact check -------------------------------
 
 # rows 1 and 2 depend on row 0: row 1 = 2 * row 0, row 2 = -1/3 * row 0
 _DEPENDENT_NUMS = np.array([[3, 6, 0], [6, 12, 0], [-3, -6, 0], [0, 1, 1]])
@@ -357,7 +388,7 @@ def _spy_passes(monkeypatch):
 def test_select_rows_first_rung_and_expansions():
     kept, exps, used = _select_dependent()
     assert kept == [0, 3]
-    assert exps == {1: [Q(2), Q(0)], 2: [Q(-1, 3), Q(0)]}
+    assert exps == {1: {0: Q(2)}, 2: {0: Q(-1, 3)}}
     assert used == 1
     assert xl.select_rows(_DEPENDENT_NUMS)[1:] == ({}, 1)  # nothing flagged
 
@@ -367,15 +398,21 @@ def test_select_rows_ladder_exhausted_raises(monkeypatch):
     primes = _spy_passes(monkeypatch)
     with pytest.raises(xl.ReconstructionFailure):
         _select_dependent()
-    assert len(seen) == 6  # 1, 2, 3, 5, 8 and 12 primes were all tried
-    assert primes == list(xl.PRIMES)  # one pass per prime, reused by later rungs
+    assert len(seen) == len(xl.PRIMES)  # one lift per added prime
+    assert primes == list(xl.PRIMES)  # one pass per prime, reused by later lifts
 
 
-def test_select_rows_explicit_primes_make_one_attempt(monkeypatch):
+def test_select_rows_explicit_primes_grow_one_pass_per_prime(monkeypatch):
+    primes = _spy_passes(monkeypatch)
+    # the first lift fails, the second verifies: the rest of the pool is unused
+    seen = _patch_reconstruction(monkeypatch, 1, lambda q: None)
+    assert _select_dependent(primes=xl.PRIMES[3:8])[2] == 2
+    assert primes == list(xl.PRIMES[3:5]) and len(seen) == 2
+    primes.clear()
     seen = _patch_reconstruction(monkeypatch, 99, lambda q: None)
     with pytest.raises(xl.ReconstructionFailure):
         _select_dependent(primes=xl.PRIMES[:5])
-    assert len(seen) == 1
+    assert primes == list(xl.PRIMES[:5]) and len(seen) == 5
 
 
 def test_select_rows_ladder_recovers_from_a_failed_rung(monkeypatch):
@@ -400,7 +437,7 @@ def test_select_rows_exact_check_rejects_a_wrong_lift(monkeypatch):
 def test_select_rows_zero_width():
     nums = np.zeros((3, 0), dtype=np.int64)
     kept, exps, _ = xl.select_rows(nums, expand_flags=[True] * 3)
-    assert kept == [] and exps == {0: [], 1: [], 2: []}
+    assert kept == [] and exps == {0: {}, 1: {}, 2: {}}
 
 
 @pytest.mark.parametrize("den", [xl.PRIMES[0], 3 * xl.PRIMES[2]], ids=["p0", "3p2"])
@@ -409,12 +446,12 @@ def test_select_rows_denominator_divisible_by_a_ladder_prime(den):
     nums = np.array([[1, 2], [2, 4]], dtype=np.int64)
     kept, exps, used = xl.select_rows(nums, dens=[den, 1], expand_flags=[True, True])
     assert kept == [0]
-    assert exps == {1: [Q(2 * den)]}
-    assert used == 3  # the rung keeps its size, without the dividing prime
+    assert exps == {1: {0: Q(2 * den)}}
+    assert used == 3  # three primes of the pool, which skips the dividing prime
 
 
 def test_select_rows_ladder_skips_only_the_dividing_primes(monkeypatch):
-    # the first two rungs fail, so the third rung runs a third prime
+    # the first two lifts fail, so a third prime is added
     seen = _patch_reconstruction(monkeypatch, 2, lambda q: None)
     tried = _spy_passes(monkeypatch)
     nums = np.array([[1, 2], [2, 4]], dtype=np.int64)
@@ -465,7 +502,7 @@ def test_select_rows_rejects_a_faked_unflagged_dependency(monkeypatch):
     monkeypatch.setattr(xl, "_select_mod_p", faked)
     kept, exps, used = xl.select_rows(nums, expand_flags=flags)
     assert kept == [0, 1, 3] == brute_select(nums)
-    assert exps == {2: [Q(2), Q(3), Q(0)]}
+    assert exps == {2: {0: Q(2), 1: Q(3)}}
     assert used == 2 and len(calls) == 2
 
 
@@ -509,9 +546,10 @@ def test_expansions_hold_exact_branch_above_the_bound(monkeypatch):
     nums = np.array([[a, 0], [a, 0], [0, 1]], dtype=np.int64)
     kept, exps, used = xl.select_rows(nums, [d0, d1, 1], [True, True, True])
     assert kept == [0, 2]
-    assert exps == {1: [Q(d0, d1), Q(0)]}
-    # rungs 1 to 3 lift wrong fractions and are refused; the bounds of
-    # rungs 3 and 5 lie above the product of the check primes
+    assert exps == {1: {0: Q(d0, d1)}}
+    # passes 1 to 3 lift wrong fractions and are refused, pass 4 lifts
+    # none; the bounds of passes 3 and 5 lie above the product of the check
+    # primes
     assert used == 5
     assert len(exact) == 2
     values = [Q(0), Q(d0, d1) + Q(1, 2**62)]
