@@ -8,12 +8,15 @@
 
 By default each run is `build_complex(p, gt, use_cache=False)` in a new
 interpreter, for p in --degrees and the four boundary selections.  A run
-records the wall time of the call, the time spent in `exactlin.select_rows`
-(calls and primes used per call), in `_normalized_level` (the norm
-exponents and scaling of each level's rows) and in `_images` (the operator
-images, including the derivation of each grid operator on first use), the
-number of `_assemble_level` calls, and the dims, ranks, kernel dims,
-harmonic dims and `meta` of the complex.
+records the wall time and the process CPU time of the call (all threads,
+so BLAS threads that spin show there), the time spent in
+`exactlin.select_rows` (calls and primes used per call), in
+`_normalized_level` (the norm exponents and scaling of each level's rows)
+and in `_images` (the operator images, including the derivation of each
+grid operator on first use), the number of rows whose norm exponent fell
+back to the extended-precision `_l2_norms`, the number of
+`_assemble_level` calls, and the dims, ranks, kernel dims, harmonic dims
+and `meta` of the complex.
 
 With --verbs each run is one CLI call in a new interpreter instead, with
 the argument lists of the `toolbox` workload of perfbench (seed
@@ -44,6 +47,7 @@ from pathlib import Path
 
 SELECTIONS = ("none", "X0", "X0,X1", "all")
 RESULT_KEYS = ("dims", "ranks", "kernel_dims", "harmonic_dims", "meta")
+TIMINGS = ("wall_s", "cpu_s", "select_rows_s", "normalize_s", "images_s")
 BLAS_THREADS = str(min(2, len(os.sched_getaffinity(0))))
 ROOT = Path(__file__).resolve().parent.parent
 TOOLBOX_SEED = 1
@@ -81,21 +85,24 @@ def wrap(owner, name, record):
 
     setattr(owner, name, wrapper)
 
-spans, levels, normalize, images = [], [], [], []
+spans, levels, normalize, images, fallback = [], [], [], [], []
 wrap(exactlin, "select_rows", lambda t, args, result: spans.append((t, result[2])))
 wrap(ea, "_assemble_level", lambda t, args, result: levels.append(args[1]))
 wrap(ea, "_normalized_level", lambda t, args, result: normalize.append(t))
 wrap(ea, "_images", lambda t, args, result: images.append(t))
-start = time.perf_counter()
+wrap(ea, "_l2_norms", lambda t, args, result: fallback.append(len(args[1])))
+start, cpu = time.perf_counter(), time.process_time()
 ec = ea.build_complex(p, gt, use_cache=False)
-wall = time.perf_counter() - start
+wall, cpu = time.perf_counter() - start, time.process_time() - cpu
 print(json.dumps({
     "wall_s": wall,
+    "cpu_s": cpu,
     "select_rows_s": sum(t for t, _ in spans),
     "select_rows_calls": len(spans),
     "primes_used": [n for _, n in spans],
     "normalize_s": sum(normalize),
     "images_s": sum(images),
+    "norm_fallback_rows": sum(fallback),
     "dims": list(ec.dims),
     "ranks": list(ec.ranks),
     "kernel_dims": list(ec.kernel_dims),
@@ -263,13 +270,14 @@ def main(argv=None):
                     rec.update(tree=label, p=p, gt=gt, repeat=rep)
                     runs.append(rec)
                     print(
-                        "%-8s p=%d %-6s wall %6.2f s  select_rows %6.2f s  normalize %5.2f s"
-                        "  images %5.2f s  levels %d  primes %s"
+                        "%-8s p=%d %-6s wall %6.2f s  cpu %6.2f s  select_rows %6.2f s"
+                        "  normalize %5.2f s  images %5.2f s  levels %d  primes %s"
                         % (
                             label,
                             p,
                             gt,
                             rec["wall_s"],
+                            rec["cpu_s"],
                             rec["select_rows_s"],
                             rec["normalize_s"],
                             rec["images_s"],
@@ -285,7 +293,7 @@ def main(argv=None):
                 mine = [r for r in runs if (r["tree"], r["p"], r["gt"]) == (label, p, gt)]
                 summary.setdefault(label, {})["%d %s" % (p, gt)] = {
                     key: spread(r[key] for r in mine)
-                    for key in ("wall_s", "select_rows_s", "normalize_s", "images_s")
+                    for key in TIMINGS
                 }
     agree = {
         "%d %s" % (p, gt): len(

@@ -196,7 +196,8 @@ class FieldSpace:
     first, each block running lexicographically over the univariate factor
     indices (i, j, k) for the x/y/z directions.  Field number
     (comp, i, j, k) is factors[0][i](x) factors[1][j](y) factors[2][k](z)
-    on component `comp`; the exact polynomial fields are built on first use.
+    on component `comp`; the exact polynomial fields and the Gram diagonal
+    are built on first use.
     """
 
     kind: str
@@ -206,11 +207,19 @@ class FieldSpace:
     counts: tuple
     factors: tuple
     factor_norms: tuple
-    gram_diag: tuple
 
     @property
     def dim(self):
-        return len(self.gram_diag)
+        return _KIND_COMPONENTS[self.kind] * math.prod(self.counts)
+
+    @cached_property
+    def gram_diag(self):
+        """The exact L2 Gram diagonal, one Fraction per field."""
+        return tuple(
+            w * gx * gy * gz
+            for w in _KIND_WEIGHTS[self.kind]
+            for gx, gy, gz in itertools.product(*self.factor_norms)
+        )
 
     @cached_property
     def fields(self):
@@ -259,11 +268,6 @@ def _space_from_degrees(kind, degrees, bc, vanish_order):
         factors.append(coeffs)
         factor_norms.append(norms)
         counts.append(len(coeffs))
-    gram_diag = [
-        w * gx * gy * gz
-        for w in _KIND_WEIGHTS[kind]
-        for gx, gy, gz in itertools.product(*factor_norms)
-    ]
     return FieldSpace(
         kind=kind,
         degree=max(degrees),
@@ -272,7 +276,6 @@ def _space_from_degrees(kind, degrees, bc, vanish_order):
         counts=tuple(counts),
         factors=tuple(factors),
         factor_norms=tuple(factor_norms),
-        gram_diag=tuple(gram_diag),
     )
 
 
@@ -608,24 +611,32 @@ def _norm_exponents(kind, nums, dens, nvar):
     """k_i = round(log2 ||f_i||) for the fields f_i = nums[i] / dens[i]:
     the exponents `round(log2(_l2_norms(...)))` would give, bit for bit.
 
-    The squared norm s_i is formed in float64, one BLAS product with the
-    cached frame change K = W (x) W (x) W per block of rows, with an
-    a-priori bound e_i on its distance from the extended-precision value of
-    `_l2_norms`.  The cell boundaries of k lie at s = 2^(2k +- 1), so row i
-    is decided when [s_i - e_i, s_i + e_i] holds no power of two with an
-    odd exponent; the other rows (an exact tie among them) go through
-    `_l2_norms`.
+    The squared norm s_i is formed in float64, with an a-priori bound e_i
+    on its distance from the extended-precision value of `_l2_norms`.  The
+    cell boundaries of k lie at s = 2^(2k +- 1), so row i is decided when
+    [s_i - e_i, s_i + e_i] holds no power of two with an odd exponent; the
+    other rows (an exact tie among them) go through `_l2_norms`.
+
+    The rows are sparse (a few percent nonzero), so each block of rows is
+    one CSR matrix X over its nonzeros, one row per field component, and
+    the frame change K = W (x) W (x) W (cached) is applied as the sparse
+    products X K^T and |X| |K|^T: nnz nvar^3 flops per row and component
+    instead of nvar^6, in scipy's C loops rather than a BLAS call.  The
+    weighted sums over the components are elementwise too.
 
     The bound (a filter in the sense of Shewchuk's adaptive predicates):
-    with x a row, a = |K| |x| (a second product) and y = K x, each float64
-    entry of y is within c a of the exact one, c = 2((n + 4) u + 14 v) for
-    n = nvar^3 terms, u = 2^-53 and v the unit roundoff of longdouble
-    (rounding of x and K, and the product); each entry of the oracle's
-    frame change is within c_o a + u |y|, c_o = 2 (3 nvar + 20) v.  So
-    the weighted sums of squares differ by at most
+    with x a row, a = |K| |x| (the second product) and y = K x, each
+    float64 entry of y is within c a of the exact one, c = 2((n + 4) u +
+    14 v) for n = nvar^3 terms, u = 2^-53 and v the unit roundoff of
+    longdouble (rounding of x and K, and the product); each entry of the
+    oracle's frame change is within c_o a + u |y|, c_o = 2 (3 nvar + 20) v.
+    So the weighted sums of squares differ by at most
     sum w a (2 c |y| + (c^2 + 3 c_o) a), plus (2 m + 4096) u s for the two
     sums of m = ncomp n squares, the oracle's square root, log2 and round,
-    and the rounding of the bound itself.
+    and the rounding of the bound itself.  These error bounds on a sum of
+    at most n terms hold for every order of summation (Higham, Accuracy
+    and Stability of Numerical Algorithms, 3.1), and a skipped exact zero
+    adds no rounding, so the sparse products keep them.
     """
     ncomp = _KIND_COMPONENTS[kind]
     weights = np.array(_KIND_WEIGHTS[kind], dtype=np.float64)
@@ -638,15 +649,21 @@ def _norm_exponents(kind, nums, dens, nvar):
     rel = (2 * ncomp * n + 4096) * u
     s, e = [], []
     for i in range(0, max(len(nums), 1), _NORM_BLOCK):
-        X = nums[i : i + _NORM_BLOCK] / dens[i : i + _NORM_BLOCK, None]
-        X = X.reshape(-1, n)
+        block = nums[i : i + _NORM_BLOCK]
+        # X is the block reshaped to one row per field component, and the
+        # block's flat nonzeros, in order, are X's entries in CSR order
+        flat = np.flatnonzero(block != 0)
+        x = block.ravel()[flat] / dens[i : i + _NORM_BLOCK][flat // (ncomp * n)]
+        shape = (len(block) * ncomp, n)
+        indptr = np.searchsorted(flat // n, np.arange(shape[0] + 1))
+        X = sparse.csr_matrix((x, flat % n, indptr), shape)
         Y = X @ KT
-        A = np.abs(X) @ KabsT
+        A = abs(X) @ KabsT
         np.abs(Y, out=Y)
-        sq = (Y * Y).sum(axis=1).reshape(-1, ncomp) @ weights
+        sq = ((Y * Y).sum(axis=1).reshape(-1, ncomp) * weights).sum(axis=1)
         A *= 2 * c * Y + (c * c + 3 * c_o) * A
         s.append(sq)
-        e.append(A.sum(axis=1).reshape(-1, ncomp) @ weights + rel * sq)
+        e.append((A.sum(axis=1).reshape(-1, ncomp) * weights).sum(axis=1) + rel * sq)
     s, e = np.concatenate(s), np.concatenate(e)
     # s in [2^(E-1), 2^E), E the frexp exponent, lies in the cell k = E >> 1
     lo, hi = np.frexp(s - e)[1] >> 1, np.frexp(s + e)[1] >> 1

@@ -23,17 +23,19 @@ The certificate is complete.  Independence mod any prime certifies the
 kept rows independent over the rationals.  The expansion of every
 dependent row, flagged or not, is lifted to rationals by CRT plus Wang's
 rational reconstruction and checked exactly (modulo word-size check primes
-whose product exceeds a bound on both sides of the identity), which proves
-the row dependent; so the kept set is the greedy selection over Q.  One
-prime is the normal case: the prime set grows one prime at a time, one
-pass per prime, reusing the passes already run, only while a lift fails or
-does not verify, so a wrong lift can only fail loudly
-(`ReconstructionFailure`), never pass.
+whose product exceeds a bound on both sides of the identity, one sparse
+product of the expansion weights per check prime), which proves the row
+dependent; so the kept set is the greedy selection over Q.  One prime is
+the normal case: the prime set grows one prime at a time, one pass per
+prime, reusing the passes already run, only while a lift fails or does not
+verify, so a wrong lift can only fail loudly (`ReconstructionFailure`),
+never pass.  Neither the elimination nor the check calls BLAS.
 """
 
 from math import gcd, isqrt, lcm, log2
 
 import numpy as np
+from scipy import sparse
 
 from .rational import Q
 
@@ -242,16 +244,28 @@ def _expansions_hold(nums, dens, kept, values, index):
     denominators, each dependent row i gives an integer identity
     L nums[i] / dens[i] = sum_k (L c_ik / dens[k]) nums[kept[k]] whose two
     sides are bounded by H.  When the check primes that do not divide L
-    have a product above 2H, the identity is compared modulo each of them,
-    one float64 matrix product per prime (exact: residues stay below 2^20
-    and each product sums at most 2^13 terms); equality modulo a product
-    above 2H is exact equality.  Otherwise the rows are compared in Python
-    integers.
+    have a product above 2H, the identity is compared modulo each of them;
+    equality modulo a product above 2H is exact equality.  Otherwise the
+    rows are compared in Python integers.
+
+    The expansions are sparse, so the weights are a CSR matrix on the
+    nonzeros of `index`, whose structure is found once; for each prime its
+    data are the residues of the lifted values, and the right side is one
+    sparse product per block of _CHECK_BLOCK kept rows, in scipy's C loops
+    rather than a BLAS call.  It is exact in float64 for every order of
+    summation: residues stay below 2^20, so each of the at most 2^13 terms
+    of a sum is below 2^40.  The magnitude bound H sums over the same
+    nonzeros.
     """
     dependent = np.setdiff1d(np.arange(len(nums)), kept)
     scale = lcm(*np.unique(dens).tolist()) * lcm(*(v.denominator for v in values))
     magnitude = np.abs(nums).max(axis=1, initial=0) / dens
-    size = np.array([abs(float(v)) for v in values])[index] @ magnitude[kept]
+    # the nonzero coefficients, row-major, which is the CSR order
+    r, k = np.nonzero(index)
+    slot = index[r, k]
+    indptr = np.searchsorted(r, np.arange(len(index) + 1))
+    terms = np.array([abs(float(v)) for v in values])[slot] * magnitude[kept][k]
+    size = np.bincount(r, terms, minlength=len(index))
     top = max(size.max(initial=0), magnitude[dependent].max(initial=0))
     # log2(2H), plus one bit for the rounding of the float bound
     bits = log2(scale) + log2(top) + 2 if top > 0 else 0
@@ -267,12 +281,14 @@ def _expansions_hold(nums, dens, kept, values, index):
         return _exact_hold(nums, dens, kept, dependent, coeffs)
     for q in moduli:
         table = [v.numerator * pow(v.denominator, -1, q) % q for v in values]
-        weights = np.array(table, dtype=np.float64)[index]
+        W = sparse.csr_matrix(
+            (np.array(table, dtype=np.float64)[slot], k, indptr), index.shape
+        )
         rows = mod_rows(nums, dens, q)
         basis = rows[kept]
         acc = np.zeros((len(dependent), nums.shape[1]))
         for s in range(0, len(kept), _CHECK_BLOCK):
-            part = weights[:, s : s + _CHECK_BLOCK] @ basis[s : s + _CHECK_BLOCK]
+            part = W[:, s : s + _CHECK_BLOCK] @ basis[s : s + _CHECK_BLOCK]
             acc = _reduce(acc + _reduce(part, q), q)
         if not np.array_equal(acc, rows[dependent]):
             return False

@@ -1,9 +1,10 @@
 """The cold-run benchmark script `benchmarks/bench.py` against the package.
 
 Its child process wraps `exactlin.select_rows` (reading the third result,
-the primes used), `_assemble_level`, `_normalized_level` and `_images` by
-name.  A rename there breaks no other test but empties or breaks the
-benchmark's counters, so one cold p=4 run of the child runs here.
+the primes used), `_assemble_level`, `_normalized_level`, `_images` and
+`_l2_norms` by name.  A rename there breaks no other test but empties or
+breaks the benchmark's counters, so one cold p=4 run of the child runs
+here.
 """
 
 import importlib.util
@@ -27,6 +28,9 @@ def test_child_records_every_counter():
     # three levels and the kernel-overflow solve, one prime each
     assert rec["select_rows_calls"] == 4
     assert rec["primes_used"] == [1, 1, 1, 1]
+    assert rec["cpu_s"] > 0
+    assert isinstance(rec["norm_fallback_rows"], int)
+    assert rec["norm_fallback_rows"] >= 0
     assert 0 < rec["select_rows_s"] < rec["wall_s"]
     assert 0 < rec["normalize_s"] < rec["wall_s"]
     assert 0 < rec["images_s"] < rec["wall_s"]

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -479,6 +483,38 @@ def test_norm_exponent_ties_take_the_fallback(monkeypatch):
     assert ks.tolist() == _oracle_exponents("symmetric-tensor", nums, dens, nvar)
 
 
+@st.composite
+def _sparse_rows(draw):
+    """Integer rows for `_norm_exponents` on a random grid: a density from
+    1 % to 100 %, numerators and denominators of random size up to 62 bits
+    (denominators of 1 on some rows), a few all-zero and single-nonzero
+    rows, and from no rows to more than one `_NORM_BLOCK`."""
+    kind = draw(st.sampled_from(["scalar", "vector", "symmetric-tensor"]))
+    nvar = draw(st.integers(1, 5))
+    nrows = draw(st.sampled_from([0, 1, 7, ea._NORM_BLOCK, ea._NORM_BLOCK + 9]))
+    density = draw(st.sampled_from([0.01, 0.04, 0.1, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = ea._KIND_COMPONENTS[kind] * nvar**3
+    bits = rng.integers(1, 63, size=(nrows, 1))
+    nums = rng.integers(-(2**62), 2**62, size=(nrows, width)) >> (62 - bits)
+    nums[rng.random((nrows, width)) >= density] = 0
+    special = rng.permutation(nrows)[: draw(st.integers(0, 4))]
+    nums[special] = 0
+    for i in special[::2]:
+        nums[i, rng.integers(width)] = rng.integers(1, 2**40)
+    dens = rng.integers(2**61, 2**62, size=nrows) >> rng.integers(0, 62, nrows)
+    dens[rng.random(nrows) < 0.3] = 1
+    return kind, nums, dens, nvar
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sparse_rows())
+def test_norm_exponents_match_extended_precision_on_sparse_rows(case):
+    kind, nums, dens, nvar = case
+    ks = ea._norm_exponents(kind, nums, dens, nvar)
+    assert ks.tolist() == _oracle_exponents(kind, nums, dens, nvar)
+
+
 # --- assembled complexes ------------------------------------------------------
 
 
@@ -889,6 +925,41 @@ def test_float_ranks_agree_with_exact_certificates(complexes_p4):
 
 def test_complex_is_cached():
     assert ea.build_complex(4, "X0") is ea.build_complex(4, "X0")
+
+
+# one warm-up assembly of each selection, then the CPU and wall time of
+# three passes over the three selections
+_CPU_PASSES = r"""
+import time
+from elacomplex import elasticity_assembly as ea
+
+selections = ("X0", "X0,X1", "all")
+for gt in selections:
+    ea.build_complex(4, gt, use_cache=False)
+start, cpu = time.perf_counter(), time.process_time()
+for _ in range(3):
+    for gt in selections:
+        ea.build_complex(4, gt, use_cache=False)
+print(time.process_time() - cpu, time.perf_counter() - start)
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two cores")
+def test_exact_assembly_makes_no_blas_call():
+    # between small multithreaded BLAS calls the idle OpenBLAS thread spins,
+    # so a dense product in the exact stage shows as CPU time near twice the
+    # wall time; the stage's products are sparse, and run on one thread
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", _CPU_PASSES],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    cpu, wall = map(float, out.stdout.split())
+    assert cpu <= 1.2 * wall
 
 
 # --- Korn constants -----------------------------------------------------------

@@ -518,10 +518,11 @@ def _spy_exact_hold(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("block", [1 << 13, 2])
+@pytest.mark.parametrize("block", [1 << 13, 3, 2, 1])
 def test_expansions_hold_modular_branch(monkeypatch, block):
     # small entries: the bound lies below the product of the check primes;
-    # a block of 2 kept rows exercises the blocked product
+    # blocks of 1 to 3 kept rows exercise the blocked product, whose sparse
+    # weight slices then cross block edges
     monkeypatch.setattr(xl, "_CHECK_BLOCK", block)
     exact = _spy_exact_hold(monkeypatch)
     nums, dens = _low_rank(31, 20, 12, 6)
