@@ -10,7 +10,9 @@ By default each run is `build_complex(p, gt, use_cache=False)` in a new
 interpreter, for p in --degrees and the four boundary selections.  A run
 records the wall time and the process CPU time of the call (all threads,
 so BLAS threads that spin show there), the time spent in
-`exactlin.select_rows` (calls and primes used per call), in
+`exactlin.select_rows` (calls, and per call the primes used and the
+rows its structural pivots took out of the modular elimination; empty
+for a tree whose `exactlin` has no `_structural_pivots`), in
 `_normalized_level` (the norm exponents and scaling of each level's rows)
 and in `_images` (the operator images, including the derivation of each
 grid operator on first use), the number of rows whose norm exponent fell
@@ -85,8 +87,10 @@ def wrap(owner, name, record):
 
     setattr(owner, name, wrapper)
 
-spans, levels, normalize, images, fallback = [], [], [], [], []
+spans, structural, levels, normalize, images, fallback = [], [], [], [], [], []
 wrap(exactlin, "select_rows", lambda t, args, result: spans.append((t, result[2])))
+if hasattr(exactlin, "_structural_pivots"):
+    wrap(exactlin, "_structural_pivots", lambda t, args, result: structural.append(int(result.sum())))
 wrap(ea, "_assemble_level", lambda t, args, result: levels.append(args[1]))
 wrap(ea, "_normalized_level", lambda t, args, result: normalize.append(t))
 wrap(ea, "_images", lambda t, args, result: images.append(t))
@@ -100,6 +104,7 @@ print(json.dumps({
     "select_rows_s": sum(t for t, _ in spans),
     "select_rows_calls": len(spans),
     "primes_used": [n for _, n in spans],
+    "structural_rows": structural,
     "normalize_s": sum(normalize),
     "images_s": sum(images),
     "norm_fallback_rows": sum(fallback),
@@ -272,6 +277,7 @@ def main(argv=None):
                     print(
                         "%-8s p=%d %-6s wall %6.2f s  cpu %6.2f s  select_rows %6.2f s"
                         "  normalize %5.2f s  images %5.2f s  levels %d  primes %s"
+                        "  structural %s"
                         % (
                             label,
                             p,
@@ -283,6 +289,7 @@ def main(argv=None):
                             rec["images_s"],
                             rec["levels_assembled"],
                             rec["primes_used"],
+                            rec["structural_rows"],
                         ),
                         flush=True,
                     )

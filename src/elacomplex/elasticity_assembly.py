@@ -1042,9 +1042,10 @@ class ElasticityComplex:
 
     `levels` are ComplexLevel objects, `ops` the three ExactOperator
     matrices (sym_grad, rotrot_t, Div).  Ranks and kernel dimensions are
-    exact integers: a kept image certifies independence through modular
-    elimination, and a discarded image carries an exactly verified rational
-    expansion, so rank A_k equals the number of kept images at level k+1.
+    exact integers: a kept image is certified independent, by its zero
+    pattern (a structural pivot) or through modular elimination, and a
+    discarded image carries an exactly verified rational expansion, so
+    rank A_k equals the number of kept images at level k+1.
     Potentials adjoined to V0 add `adjoined_images` to stats[0]: their
     images are independent expansions over V1 generators rather than V1
     basis vectors, and count in `kept_images` and `nonzero_images`.

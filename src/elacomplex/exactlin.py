@@ -7,6 +7,12 @@ designated dependent rows, the exact rational expansion over the kept rows
 that precede them, as {kept row: nonzero coefficient}.  The number of kept
 rows is the certified rank.
 
+The zero pattern settles most rows first (structured Gaussian elimination):
+a row that is nonzero in a column where no other row is cannot lie in the
+span of the others, nor take part in their expansions, and peeling such
+rows round by round (`_structural_pivots`) leaves a core.  Only the
+core, on its nonzero columns, goes through the modular elimination below.
+
 Each prime runs one reduced row echelon form of the transposed residue
 matrix in float64 (residues below 2^26 keep every product below 2^53,
 hence exact): its pivot columns are the kept rows and its dependent
@@ -19,7 +25,9 @@ the primes of PRIMES (`_reduce_rref`); the exact check forms values up to
 2^53, where it can be off by one multiple of p and one fix-up in each
 direction brings it into [0, p) (`_reduce`).
 
-The certificate is complete.  Independence mod any prime certifies the
+The certificate is complete, in two parts.  The structural pivots are
+independent by the exact zero pattern of their integer numerators over
+nonzero denominators.  Independence mod any prime certifies the core's
 kept rows independent over the rationals.  The expansion of every
 dependent row, flagged or not, is lifted to rationals by CRT plus Wang's
 rational reconstruction and checked exactly (modulo word-size check primes
@@ -29,7 +37,8 @@ dependent; so the kept set is the greedy selection over Q.  One prime is
 the normal case: the prime set grows one prime at a time, one pass per
 prime, reusing the passes already run, only while a lift fails or does not
 verify, so a wrong lift can only fail loudly (`ReconstructionFailure`),
-never pass.  Neither the elimination nor the check calls BLAS.
+never pass.  No prime runs when every row is a structural pivot.  Neither
+the elimination nor the check calls BLAS.
 """
 
 from math import gcd, isqrt, lcm, log2
@@ -295,10 +304,34 @@ def _expansions_hold(nums, dens, kept, values, index):
     return True
 
 
+def _structural_pivots(nums):
+    """Mask of the rows whose zero pattern alone proves them independent.
+
+    A round removes every remaining row that is nonzero in a column where
+    no other remaining row is; rounds repeat until none is removed.  Each
+    removed row is nonzero on a column that is zero on every row left after
+    the rounds before its own, so in any vanishing combination of all rows
+    its coefficient is zero, round by round: the removed rows are
+    independent of all other rows, kept by the greedy selection in any
+    order, and absent from every other row's expansion (structured Gaussian
+    elimination: LaMacchia and Odlyzko, CRYPTO 1990).
+    """
+    r, c = np.nonzero(nums)
+    removed = np.zeros(len(nums), dtype=bool)
+    while r.size:
+        hit = r[np.bincount(c, minlength=nums.shape[1])[c] == 1]
+        if not hit.size:
+            break
+        removed[hit] = True
+        live = ~removed[r]
+        r, c = r[live], c[live]
+    return removed
+
+
 def select_rows(nums, dens=None, expand_flags=None, primes=None):
     """Select a maximal independent row subset, in order, with exact lifts.
 
-    nums: (n, m) int64 numerators; dens: (n,) integer denominators.
+    nums: (n, m) int64 numerators; dens: (n,) nonzero integer denominators.
     expand_flags: boolean mask of rows whose dependency (if any) must be
     returned as an exact rational expansion over earlier kept rows.
 
@@ -306,22 +339,28 @@ def select_rows(nums, dens=None, expand_flags=None, primes=None):
     dependent flagged row j to its expansion {i: q}, where every key i is a
     kept row before j and every q a nonzero rational, so that
     nums[j] / dens[j] == sum(q * nums[i] / dens[i]); primes_used is the
-    number of modular passes run.
+    number of modular passes run, 0 when every row is a structural pivot.
 
-    The result is certified.  Kept rows are independent over Q, because
-    independence mod one prime implies it.  Every dependent row, flagged or
-    not, gets a lifted expansion over the kept rows before it, checked
-    exactly against nums[i] / dens[i] (`_expansions_hold`), which proves the
-    row dependent over Q; so the kept set is exactly the greedy selection
-    over Q and its size the rank.
+    The result is certified, in two parts.  The structural pivots
+    (`_structural_pivots`) are independent of all other rows by the zero
+    pattern of their numerators, which is that of the rational rows, so
+    they are kept and no modular arithmetic touches them.  The remaining
+    core rows, restricted to the columns where one of them is nonzero, run
+    through the modular selection.  Its kept rows are independent over Q,
+    because independence mod one prime implies it.  Every dependent row,
+    flagged or not, gets a lifted expansion over the core rows kept before
+    it, checked exactly against nums[i] / dens[i] (`_expansions_hold`),
+    which proves the row dependent over Q; so the kept set is exactly the
+    greedy selection over Q and its size the rank.
 
     The pool is `primes` when given (a pool prime that divides a
     denominator raises ReconstructionFailure), else the primes of PRIMES
-    that divide no denominator.  Each turn adds one RREF pass, with the
-    next prime of the pool, and lifts from all passes so far, dropping
-    those whose kept set cannot be the one over Q (see `_lift`); the first
-    lift that verifies is returned.  One prime is the normal case.
-    ReconstructionFailure is raised when the pool runs out first.
+    that divide no denominator; both are decided on all rows.  Each turn
+    adds one RREF pass of the core, with the next prime of the pool, and
+    lifts from all passes so far, dropping those whose kept set cannot be
+    the one over Q (see `_lift`); the first lift that verifies is returned.
+    One prime is the normal case.  ReconstructionFailure is raised when the
+    pool runs out first.
     """
     nums = np.ascontiguousarray(nums, dtype=np.int64)
     n = len(nums)
@@ -333,22 +372,29 @@ def select_rows(nums, dens=None, expand_flags=None, primes=None):
         raise ReconstructionFailure("a prime divides a row denominator")
     else:
         pool = list(primes)
+    pivots = _structural_pivots(nums)
+    core = np.flatnonzero(~pivots)
+    if not core.size:
+        return list(range(n)), {}, 0
+    sub = nums[core]
+    sub, sub_dens = sub[:, sub.any(axis=0)], dens[core]
     passes = []
     for p in pool:
-        passes.append(_select_mod_p(mod_rows(nums, dens, p), p))
+        passes.append(_select_mod_p(mod_rows(sub, sub_dens, p), p))
         try:
             kept, values, index = _lift(passes, pool)
         except ReconstructionFailure:
             continue
-        if _expansions_hold(nums, dens, kept, values, index):
-            dependent = np.setdiff1d(np.arange(n), kept).tolist()
+        if _expansions_hold(sub, sub_dens, kept, values, index):
+            kept, dependent = core[kept], np.delete(core, kept)
             expansions = {}
-            for j, row in zip(dependent, index):
+            for j, row in zip(dependent.tolist(), index):
                 if flags[j]:
                     (nz,) = np.nonzero(row)
-                    pairs = zip(nz.tolist(), row[nz].tolist())
-                    expansions[j] = {kept[k]: values[u] for k, u in pairs}
-            return kept, expansions, len(passes)
+                    pairs = zip(kept[nz].tolist(), row[nz].tolist())
+                    expansions[j] = {i: values[u] for i, u in pairs}
+            pivots[kept] = True
+            return np.flatnonzero(pivots).tolist(), expansions, len(passes)
     raise ReconstructionFailure(
         "no verified selection with up to %d primes" % len(passes)
     )

@@ -1,8 +1,8 @@
 """The cold-run benchmark script `benchmarks/bench.py` against the package.
 
 Its child process wraps `exactlin.select_rows` (reading the third result,
-the primes used), `_assemble_level`, `_normalized_level`, `_images` and
-`_l2_norms` by name.  A rename there breaks no other test but empties or
+the primes used), `exactlin._structural_pivots`, `_assemble_level`,
+`_normalized_level`, `_images` and `_l2_norms` by name.  A rename there breaks no other test but empties or
 breaks the benchmark's counters, so one cold p=4 run of the child runs
 here.
 """
@@ -25,9 +25,11 @@ def _load_bench():
 def test_child_records_every_counter():
     rec = _load_bench().run_one(ROOT / "src", 4, "all")
     assert rec["levels_assembled"] == 3
-    # three levels and the kernel-overflow solve, one prime each
+    # three levels and the kernel-overflow solve, whose rows are all
+    # structural pivots, so no prime runs
     assert rec["select_rows_calls"] == 4
-    assert rec["primes_used"] == [1, 1, 1, 1]
+    assert rec["primes_used"] == [0, 0, 0, 0]
+    assert rec["structural_rows"] == [87, 12, 9, 6]
     assert rec["cpu_s"] > 0
     assert isinstance(rec["norm_fallback_rows"], int)
     assert rec["norm_fallback_rows"] >= 0

@@ -559,13 +559,15 @@ def test_level1_harmonic_dim_stable_in_degree(complexes_p4, complexes_p5):
 
 
 def test_primes_used_per_level_at_p5(complexes_p5):
-    # one prime per selection, except level 0 of X0, whose first lift fails
+    # one prime per selection, except level 0 of X0, whose first lift
+    # fails, and the levels of all, whose candidate rows are all structural
+    # pivots
     used = {gt: [s["primes_used"] for s in ec.stats] for gt, ec in complexes_p5.items()}
     assert used == {
         "none": [1, 1, 1],
         "X0": [2, 1, 1],
         "X0,X1": [1, 1, 1],
-        "all": [1, 1, 1],
+        "all": [0, 0, 0],
     }
 
 

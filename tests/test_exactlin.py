@@ -485,8 +485,10 @@ def test_select_rows_rank_drop_mod_the_first_prime(flagged):
 
 def test_select_rows_rejects_a_faked_unflagged_dependency(monkeypatch):
     # the first pass claims that the last row, an independent unflagged
-    # generator, is zero; only the exact check of that row can refuse it
-    nums = np.array([[1, 0, 0], [0, 1, 0], [2, 3, 0], [0, 0, 1]], dtype=np.int64)
+    # generator, is zero; only the exact check of that row can refuse it.
+    # Every column is nonzero on two rows or more, so no row is a
+    # structural pivot and all of them reach the modular passes
+    nums = np.array([[1, 0, 1], [0, 1, 0], [2, 3, 2], [0, 0, 1]], dtype=np.int64)
     flags = [True, True, True, False]
     real = xl._select_mod_p
     calls = []
@@ -558,6 +560,109 @@ def test_expansions_hold_exact_branch_above_the_bound(monkeypatch):
         nums, np.array([d0, d1, 1]), kept, values, np.array([[1, 0]])
     )
     assert len(exact) == 3
+
+
+# --- structural pivots ------------------------------------------------------
+
+
+@st.composite
+def _staircase_rows(draw):
+    """Sparse rows with a planted staircase, which the structural pivots
+    peel one round per step, among random base rows and rows that combine
+    them (or, at times, the staircase rows too); shuffled, with random
+    denominators and flags."""
+    steps = draw(st.integers(0, 6))
+    nbase = draw(st.integers(0, 5))
+    m = steps + draw(st.integers(0, 6))
+    small = st.integers(-3, 3)
+
+    def sparse_row(lo):
+        row = [0] * m
+        for j in range(lo, m):
+            if draw(st.booleans()) and draw(st.booleans()):
+                row[j] = draw(small)
+        return row
+
+    # staircase row t is nonzero on column t and on column t + 1, which is
+    # private to it once rows 0..t-1 are gone; its other entries lie right
+    # of those columns
+    stairs = []
+    for t in range(steps):
+        row = sparse_row(t + 2)
+        row[t] = draw(st.sampled_from([-2, -1, 1, 2, 3]))
+        if t + 1 < m:
+            row[t + 1] = draw(st.sampled_from([-1, 1, 2]))
+        stairs.append(row)
+    base = [sparse_row(steps) for _ in range(nbase)]
+    sources = base + stairs if draw(st.booleans()) else base
+    mixed = []
+    for _ in range(draw(st.integers(0, 5))):
+        total = [0] * m
+        for src in sources:
+            c = draw(small)
+            total = [a + c * b for a, b in zip(total, src)]
+        mixed.append(total)
+    rows = draw(st.permutations(stairs + base + mixed))
+    n = len(rows)
+    dens = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return np.array(rows, dtype=np.int64).reshape(n, m), dens, flags
+
+
+@settings(max_examples=200, deadline=None)
+@given(_staircase_rows())
+def test_structural_pivots_change_no_selection(case):
+    nums, dens, flags = case
+    kept, exps, used = xl.select_rows(nums, dens, flags)
+    assert kept == brute_select(_frac_rows(nums, dens))
+    pivots = xl._structural_pivots(nums)
+    assert set(np.flatnonzero(pivots).tolist()) <= set(kept)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(xl, "_structural_pivots", lambda a: np.zeros(len(a), dtype=bool))
+        assert xl.select_rows(nums, dens, flags)[:2] == (kept, exps)
+    assert (used == 0) == bool(pivots.all())
+
+
+def test_select_rows_of_structural_pivots_only_runs_no_prime(monkeypatch):
+    def refuse(rows, p):
+        raise AssertionError("a modular pass ran")
+
+    monkeypatch.setattr(xl, "_select_mod_p", refuse)
+    # a triangular pattern, rows shuffled: four rounds peel it
+    nums = np.array([[0, 0, 5, 4], [1, 2, 0, 3], [0, 0, 0, -1], [0, 7, 1, 0]])
+    kept, exps, used = xl.select_rows(nums, dens=[3, 1, 2, 5], expand_flags=[True] * 4)
+    assert (kept, exps, used) == ([0, 1, 2, 3], {}, 0)
+    assert xl.select_rows(np.eye(3, dtype=np.int64)) == ([0, 1, 2], {}, 0)
+
+
+def test_structural_pivots_peel_round_by_round(monkeypatch):
+    # column 0 is private to row 5 at once; columns 1 and 2 become private to
+    # rows 3 and 1 in the next two rounds; rows 0, 2 and 4 share columns
+    # 3 to 5 and stay, with row 4 twice row 0 and row 2 zero
+    nums = np.array(
+        [
+            [0, 0, 0, 1, 1, 1],
+            [0, 0, 3, 1, 1, 0],
+            [0, 0, 0, 0, 0, 0],
+            [0, 2, 1, 0, 0, 0],
+            [0, 0, 0, 2, 2, 2],
+            [1, 1, 0, 0, 0, 0],
+        ]
+    )
+    assert xl._structural_pivots(nums).tolist() == [False, True, False, True, False, True]
+    shapes = []
+    real = xl._select_mod_p
+
+    def spy(rows, p):
+        shapes.append(rows.shape)
+        return real(rows, p)
+
+    monkeypatch.setattr(xl, "_select_mod_p", spy)
+    kept, exps, used = xl.select_rows(nums, expand_flags=[True] * 6)
+    # only the core runs: rows 0, 2 and 4 on columns 3 to 5
+    assert shapes == [(3, 3)] and used == 1
+    assert kept == [0, 1, 3, 5] == brute_select(nums)
+    assert exps == {2: {}, 4: {0: Q(2)}}
 
 
 # --- residue reduction without fmod --------------------------------------------
