@@ -17,8 +17,9 @@ for a tree whose `exactlin` has no `_structural_pivots`), in
 and in `_images` (the operator images, including the derivation of each
 grid operator on first use), the number of rows whose norm exponent fell
 back to the extended-precision `_l2_norms`, the number of
-`_assemble_level` calls, and the dims, ranks, kernel dims, harmonic dims
-and `meta` of the complex.
+`_assemble_level` calls, the stored entries of each level's rows
+(`level_nnz`; the nonzeros, for a tree whose levels hold dense rows), and
+the dims, ranks, kernel dims, harmonic dims and `meta` of the complex.
 
 With --verbs each run is one CLI call in a new interpreter instead, with
 the argument lists of the `toolbox` workload of perfbench (seed
@@ -31,9 +32,9 @@ With several trees, the trees of one repeat run in alternating order.  The
 output holds every run, a per-tree `summary` of each timing as [min,
 median, max] over the repeats (the spread shows how far a median can be
 trusted on a shared box), whether all runs of each case agree (on the
-integers and `meta`, or on exit code and report digest), and the facts of
-the machine: nproc, Python, numpy, BLAS and its thread pin, and
-the rational backend of each tree.  OpenBLAS is pinned to at most two
+integers, `level_nnz` and `meta`, or on exit code and report digest), and
+the facts of the machine: nproc, Python, numpy, BLAS and its thread pin,
+and the rational backend of each tree.  OpenBLAS is pinned to at most two
 threads, as in perfbench.
 """
 
@@ -48,7 +49,7 @@ import time
 from pathlib import Path
 
 SELECTIONS = ("none", "X0", "X0,X1", "all")
-RESULT_KEYS = ("dims", "ranks", "kernel_dims", "harmonic_dims", "meta")
+RESULT_KEYS = ("dims", "ranks", "kernel_dims", "harmonic_dims", "meta", "level_nnz")
 TIMINGS = ("wall_s", "cpu_s", "select_rows_s", "normalize_s", "images_s")
 BLAS_THREADS = str(min(2, len(os.sched_getaffinity(0))))
 ROOT = Path(__file__).resolve().parent.parent
@@ -105,6 +106,12 @@ print(json.dumps({
     "select_rows_calls": len(spans),
     "primes_used": [n for _, n in spans],
     "structural_rows": structural,
+    "level_nnz": [
+        int(level.nums.nnz)
+        if hasattr(level.nums, "nnz")
+        else int(numpy.count_nonzero(level.nums))
+        for level in ec.levels
+    ],
     "normalize_s": sum(normalize),
     "images_s": sum(images),
     "norm_fallback_rows": sum(fallback),

@@ -14,14 +14,18 @@ level-1 cohomology are then adjoined to V0, their images exactly verified
 combinations of V1's generator basis vectors.  So A1*A0 and A2*A1 vanish
 identically at the rational stage.
 
-Every exact matrix of the assembly is int64 numerators over int64
-denominators, each entry below 2^62: a level's basis is dense rows on the
-ambient monomial grid, one denominator per row; a grid operator (derived
-once per grid size from `poly_calculus`) is one sparse integer matrix over
-one denominator, so a level's images are one guarded integer product; a
-chain operator (`ExactOperator`) is a sparse integer matrix, one
-denominator per column.  Exact rational coordinates and polynomial fields
-are built from these on first use.
+Every exact matrix of the assembly is a sparse int64 numerator matrix
+over int64 denominators, each entry below 2^62: a level's basis is one
+canonical CSR matrix of rows on the ambient monomial grid, one denominator
+per row; a grid operator (derived once per grid size from `poly_calculus`)
+is one CSR matrix over one denominator, so a level's images are one
+guarded sparse product; a chain operator (`ExactOperator`) is a CSC
+matrix, one denominator per column.  Images, normalisation and the row
+selection touch only stored entries; rows are made dense only for the
+float stage (Grams, norms that need extended precision, the Korn
+quotient), the small face-trace solve and, inside
+`exactlin.select_rows`, the core of a selection.  Exact rational
+coordinates and polynomial fields are built from these on first use.
 
 Linear independence is decided by `exactlin.select_rows`, which certifies
 every dependency it reports, so the kept bases, the operators and the
@@ -348,17 +352,22 @@ def _coord_row(field, kind, nvar):
 
 
 def _coord_rows(rows, width):
-    """Rows ({flat_index: int}, den) as int64 numerators plus the list of
-    row denominators, each below 2^62."""
-    nums = np.zeros((len(rows), width), dtype=np.int64)
-    dens = []
-    for i, (row, den) in enumerate(rows):
+    """Rows ({flat_index: int}, den) as a canonical int64 CSR matrix of
+    numerators plus the list of row denominators, each below 2^62."""
+    dens, indices, data, indptr = [], [], [], [0]
+    for row, den in rows:
         if den >= _COORD_LIMIT:
             raise AssemblyError("coordinate denominator exceeds 62 bits")
         if any(abs(n) >= _COORD_LIMIT for n in row.values()):
             raise AssemblyError("coordinate numerator exceeds 62 bits")
         dens.append(den)
-        nums[i, list(row)] = list(row.values())
+        terms = sorted((j, n) for j, n in row.items() if n)
+        indices += [j for j, _ in terms]
+        data += [n for _, n in terms]
+        indptr.append(len(indices))
+    nums = sparse.csr_matrix(
+        (np.array(data, dtype=np.int64), indices, indptr), shape=(len(rows), width)
+    )
     return nums, dens
 
 
@@ -372,13 +381,12 @@ def _vector_rows(fields, nvar):
     return nums, np.array(dens, dtype=np.int64), nvar
 
 
-def _field_from_row(row, den, kind, nvar):
-    """The vector or symmetric-tensor field with integer coordinate row
-    `row` over `den`; the inverse of _coord_row."""
+def _field_from_row(cols, vals, den, kind, nvar):
+    """The vector or symmetric-tensor field whose integer coordinate row has
+    the nonzeros `vals` at `cols`, over `den`; the inverse of _coord_row."""
     grid = nvar * nvar * nvar
     nums = [{} for _ in range(_KIND_COMPONENTS[kind])]
-    nz = np.flatnonzero(row)
-    for j, n in zip(nz.tolist(), row[nz].tolist()):
+    for j, n in zip(cols.tolist(), vals.tolist()):
         comp, m = divmod(j, grid)
         a, m = divmod(m, nvar * nvar)
         b, c = divmod(m, nvar)
@@ -393,10 +401,13 @@ def _field_from_row(row, den, kind, nvar):
 
 
 def _space_rows(space, nvar):
-    """Integer coordinate rows of a FieldSpace's fields on the nvar grid.
+    """Integer coordinate rows of a FieldSpace's fields on the nvar grid,
+    as a canonical int64 CSR matrix.
 
     A field is a product of integer univariate factors on one component, so
-    its row is a Kronecker product of factor coefficient vectors.
+    its row is a Kronecker product of factor coefficient vectors.  The
+    Kronecker block of one component is formed dense and converted once;
+    the other components repeat its index arrays, shifted.
     """
     bound = 1
     mats = []
@@ -414,13 +425,12 @@ def _space_rows(space, nvar):
         raise AssemblyError("coordinate numerator exceeds 62 bits")
     block = np.kron(np.kron(mats[0], mats[1]), mats[2])
     ncomp = _KIND_COMPONENTS[space.kind]
-    rows = np.zeros((ncomp * block.shape[0], ncomp * nvar**3), dtype=np.int64)
-    for comp in range(ncomp):
-        rows[
-            comp * block.shape[0] : (comp + 1) * block.shape[0],
-            comp * nvar**3 : (comp + 1) * nvar**3,
-        ] = block
-    return rows
+    r, c = np.nonzero(block)
+    counts = np.tile(np.bincount(r, minlength=block.shape[0]), ncomp)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indices = (c + np.arange(ncomp)[:, None] * nvar**3).ravel()
+    shape = (ncomp * block.shape[0], ncomp * nvar**3)
+    return sparse.csr_matrix((np.tile(block[r, c], ncomp), indices, indptr), shape)
 
 
 _OPERATORS = {
@@ -481,31 +491,58 @@ def _grid_columns(ncomp, nvar, big):
     return (np.arange(ncomp)[:, None] * big**3 + mono).ravel()
 
 
+def _scaled_to_lowest_terms(rows, dens, shifts=None):
+    """(rows', dens') with row i of the CSR matrix `rows` shifted left by
+    shifts[i] (none when omitted) and then divided, with dens[i], by their
+    common gcd; new arrays, so the inputs stay untouched.  An empty row
+    gets denominator 1."""
+    counts = np.diff(rows.indptr)
+    data = rows.data if shifts is None else rows.data << np.repeat(shifts, counts)
+    # reduceat runs over the non-empty rows only: on an empty segment it
+    # returns the entry at its start, not a gcd
+    filled = counts > 0
+    g = np.zeros(len(counts), dtype=np.int64)
+    g[filled] = np.gcd.reduceat(data, rows.indptr[:-1][filled])
+    g = np.gcd(g, dens)
+    out = sparse.csr_matrix(
+        (data // np.repeat(g, counts), rows.indices.copy(), rows.indptr.copy()),
+        shape=rows.shape,
+    )
+    return out, dens // g
+
+
 def _images(nums, dens, name, in_kind, nvar_in, nvar):
     """Exact image rows of the fields nums[i] / dens[i] on the nvar grid.
 
-    One integer product with the operator matrix, after a check that no
-    partial sum can reach 2^62; each image row is then reduced to its least
-    common denominator.  Zero images come back as zero rows.
+    `nums` is a CSR matrix.  One sparse integer product with the operator
+    matrix, after a check that no partial sum can reach 2^62; each image
+    row is then reduced to its least common denominator.  Returns a
+    canonical CSR matrix, in which a zero image is an empty row, and the
+    image denominators.
     """
     D, den, l1 = _operator_matrix(name, in_kind, nvar_in)
-    if nums.size and (
-        int(np.abs(nums).max()) * l1 >= _COORD_LIMIT
+    if nums.nnz and (
+        int(np.abs(nums.data).max()) * l1 >= _COORD_LIMIT
         or int(dens.max()) * den >= _COORD_LIMIT
     ):
         raise AssemblyError("%s image coordinates exceed 62 bits" % name)
     out = nums @ D
+    out.sort_indices()
     if nvar_in > nvar:
+        # the nvar grid's columns within the larger grid, in increasing
+        # order, so the remap keeps each row's indices sorted
         inside = _grid_columns(_KIND_COMPONENTS[_OPERATORS[name]], nvar, nvar_in)
-        if np.count_nonzero(out) != np.count_nonzero(out[:, inside]):
+        column = np.full(out.shape[1], -1, dtype=out.indices.dtype)
+        column[inside] = np.arange(inside.size)
+        indices = column[out.indices]
+        if np.any(indices < 0):
             raise AssemblyError(
                 "field exceeds the ambient degree bound %d" % (nvar - 1)
             )
-        out = out[:, inside]
-    out_dens = dens * den
-    g = np.gcd(np.gcd.reduce(out, axis=1), out_dens)
-    out //= g[:, None]
-    return out, out_dens // g
+        out = sparse.csr_matrix(
+            (out.data, indices, out.indptr), shape=(out.shape[0], inside.size)
+        )
+    return _scaled_to_lowest_terms(out, dens * den)
 
 
 _LEGENDRE_CACHE = {}
@@ -608,8 +645,9 @@ def _kron_frame(nvar):
 
 
 def _norm_exponents(kind, nums, dens, nvar):
-    """k_i = round(log2 ||f_i||) for the fields f_i = nums[i] / dens[i]:
-    the exponents `round(log2(_l2_norms(...)))` would give, bit for bit.
+    """k_i = round(log2 ||f_i||) for the fields f_i = nums[i] / dens[i], with
+    `nums` a canonical CSR matrix: the exponents
+    `round(log2(_l2_norms(...)))` would give on the dense rows, bit for bit.
 
     The squared norm s_i is formed in float64, with an a-priori bound e_i
     on its distance from the extended-precision value of `_l2_norms`.  The
@@ -618,7 +656,8 @@ def _norm_exponents(kind, nums, dens, nvar):
     other rows (an exact tie among them) go through `_l2_norms`.
 
     The rows are sparse (a few percent nonzero), so each block of rows is
-    one CSR matrix X over its nonzeros, one row per field component, and
+    one CSR matrix X over its stored entries, one row per field component,
+    read from the slice of `nums`'s index and data arrays, and
     the frame change K = W (x) W (x) W (cached) is applied as the sparse
     products X K^T and |X| |K|^T: nnz nvar^3 flops per row and component
     instead of nvar^6, in scipy's C loops rather than a BLAS call.  The
@@ -648,15 +687,19 @@ def _norm_exponents(kind, nums, dens, nvar):
     c_o = 2 * (3 * nvar + 20) * v
     rel = (2 * ncomp * n + 4096) * u
     s, e = [], []
-    for i in range(0, max(len(nums), 1), _NORM_BLOCK):
-        block = nums[i : i + _NORM_BLOCK]
-        # X is the block reshaped to one row per field component, and the
-        # block's flat nonzeros, in order, are X's entries in CSR order
-        flat = np.flatnonzero(block != 0)
-        x = block.ravel()[flat] / dens[i : i + _NORM_BLOCK][flat // (ncomp * n)]
-        shape = (len(block) * ncomp, n)
-        indptr = np.searchsorted(flat // n, np.arange(shape[0] + 1))
-        X = sparse.csr_matrix((x, flat % n, indptr), shape)
+    nrows = nums.shape[0]
+    for i in range(0, max(nrows, 1), _NORM_BLOCK):
+        stop = min(i + _NORM_BLOCK, nrows)
+        lo, hi = nums.indptr[i], nums.indptr[stop]
+        cols = nums.indices[lo:hi]
+        r = np.repeat(np.arange(stop - i), np.diff(nums.indptr[i : stop + 1]))
+        x = nums.data[lo:hi] / dens[i:stop][r]
+        # X is the block reshaped to one row per field component; the
+        # block's stored entries, in order, are X's entries in CSR order
+        xrow = r * ncomp + cols // n
+        shape = ((stop - i) * ncomp, n)
+        indptr = np.searchsorted(xrow, np.arange(shape[0] + 1))
+        X = sparse.csr_matrix((x, cols % n, indptr), shape)
         Y = X @ KT
         A = abs(X) @ KabsT
         np.abs(Y, out=Y)
@@ -670,7 +713,7 @@ def _norm_exponents(kind, nums, dens, nvar):
     ks = hi.astype(np.int64)
     fallback = np.flatnonzero(~(s - e > 0) | (lo != hi))
     if fallback.size:
-        norms = _l2_norms(kind, nums[fallback], dens[fallback], nvar)
+        norms = _l2_norms(kind, nums[fallback].toarray(), dens[fallback], nvar)
         ks[fallback] = [int(round(math.log2(x))) if x > 0 else 0 for x in norms]
     return ks
 
@@ -769,31 +812,38 @@ def _exact_operator(nrows, columns, ks):
 class ComplexLevel:
     """One space of the assembled chain, held as integer rows.
 
-    Basis field i is nums[i] / dens[i] on the nvar monomial grid (read-only
-    int64 arrays, each row in least-denominator form).  Its exact rational
-    coordinates and polynomial field are built from the row on first use.
+    Basis field i is nums[i] / dens[i] on the nvar monomial grid: `nums` is
+    a read-only int64 CSR matrix in canonical form (sorted indices, no
+    duplicate, no stored zero) and `dens` a read-only int64 array, each row
+    in least-denominator form.  The rows stay sparse through the exact
+    stage; `ElasticityComplex.float_grams` makes them dense.  Exact
+    rational coordinates and polynomial fields are built from a row on
+    first use.
     """
 
     kind: str
-    nums: np.ndarray
+    nums: sparse.csr_matrix
     dens: np.ndarray
     provenance: tuple
     nvar: int
 
     @property
     def dim(self):
-        return len(self.nums)
+        return self.nums.shape[0]
+
+    def _row(self, i):
+        lo, hi = self.nums.indptr[i], self.nums.indptr[i + 1]
+        return self.nums.indices[lo:hi], self.nums.data[lo:hi]
 
     def coords_of(self, i):
         """Exact coordinates {flat_index: rational} of basis field i."""
-        row = self.nums[i]
+        cols, vals = self._row(i)
         den = int(self.dens[i])
-        nz = np.flatnonzero(row)
-        return {j: Q(v, den) for j, v in zip(nz.tolist(), row[nz].tolist())}
+        return {j: Q(v, den) for j, v in zip(cols.tolist(), vals.tolist())}
 
     def field(self, i):
         """Exact polynomial field of basis field i, built on each call."""
-        return _field_from_row(self.nums[i], int(self.dens[i]), self.kind, self.nvar)
+        return _field_from_row(*self._row(i), int(self.dens[i]), self.kind, self.nvar)
 
     @cached_property
     def coords(self):
@@ -816,7 +866,8 @@ def _normalized_level(kind, nums, dens, provenance, nvar):
     """Build a level from integer rows, each scaled by a power of two to a
     unit-size L2 norm.
 
-    Row i is the field nums[i] / dens[i] on the nvar grid, and k_i =
+    Row i is the field nums[i] / dens[i] on the nvar grid, `nums` a
+    canonical CSR matrix whose rows are in lowest terms, and k_i =
     round(log2 ||f_i||) from `_norm_exponents`: float64 norms where their
     error bound decides k_i, the extended-precision `_l2_norms` elsewhere,
     so the exponents (hence every level basis) are those of `_l2_norms`
@@ -826,16 +877,14 @@ def _normalized_level(kind, nums, dens, provenance, nvar):
     """
     ks = _norm_exponents(kind, nums, dens, nvar)
     up, down = np.maximum(-ks, 0), np.maximum(ks, 0)
-    if np.any(np.abs(nums).max(axis=1) >= _COORD_LIMIT >> up) or np.any(
-        dens >= _COORD_LIMIT >> down
-    ):
+    if np.any(
+        np.abs(nums.data) >= _COORD_LIMIT >> np.repeat(up, np.diff(nums.indptr))
+    ) or np.any(dens >= _COORD_LIMIT >> down):
         raise AssemblyError("scaled coordinates exceed 62 bits")
-    nums = nums << up[:, None]
-    dens = dens << down
-    g = np.gcd(np.gcd.reduce(nums, axis=1), dens)
-    nums //= g[:, None]
-    dens //= g
-    nums.flags.writeable = dens.flags.writeable = False
+    # the rows are in lowest terms, so the gcd below is a power of two
+    nums, dens = _scaled_to_lowest_terms(nums, dens << down, up)
+    _read_only(nums)
+    dens.flags.writeable = False
     level = ComplexLevel(
         kind=kind,
         nums=nums,
@@ -861,9 +910,11 @@ def _assemble_level(prev_level, op_name, generators, nvar):
         prev_level.nvar,
         nvar,
     )
-    nonzero = np.flatnonzero(nums.any(axis=1)).tolist()
-    cand_nums = np.vstack([nums[nonzero], _space_rows(generators, nvar)])
-    cand_dens = np.ones(len(cand_nums), dtype=np.int64)
+    nonzero = np.flatnonzero(np.diff(nums.indptr)).tolist()
+    cand_nums = sparse.vstack(
+        [nums[nonzero], _space_rows(generators, nvar)], format="csr"
+    )
+    cand_dens = np.ones(cand_nums.shape[0], dtype=np.int64)
     cand_dens[: len(nonzero)] = dens[nonzero]
     provenance = [("image", i) for i in nonzero]
     provenance += [("generator", g) for g in range(generators.dim)]
@@ -1007,6 +1058,7 @@ def _face_compatible_combinations(potentials, bc):
         return list(potentials)
     cands = list(potentials) + list(rigid_motion_basis().fields)
     nums, dens, nvar = _vector_rows(cands, 1)
+    nums = nums.toarray()
     if int(np.abs(nums).max()) * nvar >= _COORD_LIMIT:
         raise AssemblyError("face trace coordinates exceed 62 bits")
     # the trace on {x_axis = 0} keeps the monomials free of x_axis; on
@@ -1102,7 +1154,7 @@ class ElasticityComplex:
         if grams is None:
             grams = tuple(
                 _float_gram(
-                    _longdouble_rows(level.nums, level.dens),
+                    _longdouble_rows(level.nums.toarray(), level.dens),
                     _KIND_COMPONENTS[level.kind],
                     level.nvar,
                     _KIND_WEIGHTS[level.kind],
@@ -1147,8 +1199,8 @@ def _assemble_chain(p, bc):
     """One assembly pass of the chain from the degree-p spaces."""
     nvar = p + 1
     nums = _space_rows(build_space("vector", p, bc, 1), nvar)
-    provenance = [("generator", g) for g in range(len(nums))]
-    ones = np.ones(len(nums), dtype=np.int64)
+    provenance = [("generator", g) for g in range(nums.shape[0])]
+    ones = np.ones(nums.shape[0], dtype=np.int64)
     levels = [_normalized_level("vector", nums, ones, provenance, nvar)[0]]
     ops, stats = [], []
     for name, (kind, drop, order) in _GENERATORS.items():
@@ -1178,7 +1230,7 @@ def _kernel_overflow_fields(ec):
     if not gen_pos.size:
         return []
     _, expansions, _ = _select_exact(
-        a1.nums[:, gen_pos].T.toarray(), a1.dens[gen_pos], [True] * len(gen_pos)
+        a1.nums[:, gen_pos].T, a1.dens[gen_pos], [True] * len(gen_pos)
     )
     fields = []
     for j, coeffs in sorted(expansions.items()):
@@ -1210,7 +1262,7 @@ def _adjoin_potentials(ec, extras):
     )
     gen = [pos for pos, prov in enumerate(level1.provenance) if prov[0] == "generator"]
     kept, expansions, _ = _select_exact(
-        np.vstack([level1.nums[gen], nums]),
+        sparse.vstack([level1.nums[gen], nums], format="csr"),
         np.concatenate([level1.dens[gen], dens]),
         np.arange(len(gen) + len(extras)) >= len(gen),
     )
@@ -1224,14 +1276,24 @@ def _adjoin_potentials(ec, extras):
         ],
         [0] * level1.dim,
     )
-    rows = added_a0.nums.T.toarray()
-    if len(_select_exact(rows, added_a0.dens, None)[0]) < len(extras):
+    if len(_select_exact(added_a0.nums.T, added_a0.dens, None)[0]) < len(extras):
         raise AssemblyError("adjoined potentials with dependent images")
-    nums = np.zeros((level0.dim + added.dim, 3 * nvar0**3), dtype=np.int64)
-    nums[: level0.dim, _grid_columns(3, level0.nvar, nvar0)] = level0.nums
-    nums[level0.dim :] = added.nums
+    # the level-0 rows on the extras' grid: its columns increase with the
+    # small grid's, so each row's indices stay sorted
+    old, new = level0.nums, added.nums
+    nums = sparse.csr_matrix(
+        (
+            np.concatenate([old.data, new.data]),
+            np.concatenate(
+                [_grid_columns(3, level0.nvar, nvar0)[old.indices], new.indices]
+            ),
+            np.concatenate([old.indptr, new.indptr[1:] + old.nnz]),
+        ),
+        shape=(level0.dim + added.dim, 3 * nvar0**3),
+    )
     dens = np.concatenate([level0.dens, added.dens])
-    nums.flags.writeable = dens.flags.writeable = False
+    _read_only(nums)
+    dens.flags.writeable = False
     level0 = ComplexLevel(
         "vector", nums, dens, level0.provenance + added.provenance, nvar0
     )
@@ -1455,16 +1517,14 @@ def korn_constant(p, gt="none"):
     space = build_space("vector", p, bc, 1)
     nvar = p + 1
     rows = _space_rows(space, nvar)
-    ones = np.ones(len(rows), dtype=np.int64)
-    K, M = (
-        _float_gram(
-            _longdouble_rows(*_images(rows, ones, name, "vector", nvar, nvar)),
-            _KIND_COMPONENTS[kind],
-            nvar,
-            _KIND_WEIGHTS[kind],
-        )
-        for name, kind in (("Grad", "matrix"), ("sym_grad", "symmetric-tensor"))
-    )
+    ones = np.ones(rows.shape[0], dtype=np.int64)
+
+    def gram(name, kind):
+        nums, dens = _images(rows, ones, name, "vector", nvar, nvar)
+        X = _longdouble_rows(nums.toarray(), dens)
+        return _float_gram(X, _KIND_COMPONENTS[kind], nvar, _KIND_WEIGHTS[kind])
+
+    K, M = gram("Grad", "matrix"), gram("sym_grad", "symmetric-tensor")
     restricted = not bc.faces
     if restricted:
         g = fa.InnerProduct(np.diag([float(q) for q in space.gram_diag]))

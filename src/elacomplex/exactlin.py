@@ -7,11 +7,15 @@ designated dependent rows, the exact rational expansion over the kept rows
 that precede them, as {kept row: nonzero coefficient}.  The number of kept
 rows is the certified rank.
 
-The zero pattern settles most rows first (structured Gaussian elimination):
-a row that is nonzero in a column where no other row is cannot lie in the
+The rows arrive in one sparse integer form: `select_rows` turns its input,
+dense or sparse, into an int64 CSR matrix in canonical form with no stored
+zero, so that the stored entries are exactly the nonzeros.  The zero
+pattern then settles most rows first (structured Gaussian elimination): a
+row that is nonzero in a column where no other row is cannot lie in the
 span of the others, nor take part in their expansions, and peeling such
-rows round by round (`_structural_pivots`) leaves a core.  Only the
-core, on its nonzero columns, goes through the modular elimination below.
+rows round by round (`_structural_pivots`, on the CSR index arrays) leaves
+a core.  Only the core, on its nonzero columns, is made dense and goes
+through the modular elimination below.
 
 Each prime runs one reduced row echelon form of the transposed residue
 matrix in float64 (residues below 2^26 keep every product below 2^53,
@@ -139,6 +143,10 @@ def _select_mod_p(rows, p):
     result is the same as with normalised pivots.  Returns (kept, deps):
     column i of deps is the expansion of the i-th row not in kept, in a new
     array, so that M is freed when the pass ends.
+
+    `rows` is consumed: when it is F-ordered, as `mod_rows` gives the core
+    of `select_rows`, rows.T is C-contiguous and the elimination runs in its
+    buffer, with no transposed copy.
 
     Every value formed is a product of two residues or a residue minus such
     a product, so |x| <= (p - 1)^2 < 2^53: the float64 arithmetic is exact
@@ -307,19 +315,22 @@ def _expansions_hold(nums, dens, kept, values, index):
 def _structural_pivots(nums):
     """Mask of the rows whose zero pattern alone proves them independent.
 
-    A round removes every remaining row that is nonzero in a column where
-    no other remaining row is; rounds repeat until none is removed.  Each
-    removed row is nonzero on a column that is zero on every row left after
-    the rounds before its own, so in any vanishing combination of all rows
-    its coefficient is zero, round by round: the removed rows are
-    independent of all other rows, kept by the greedy selection in any
-    order, and absent from every other row's expansion (structured Gaussian
-    elimination: LaMacchia and Odlyzko, CRYPTO 1990).
+    `nums` is a CSR matrix with no stored zero, so its index arrays are the
+    zero pattern.  A round removes every remaining row that is nonzero in a
+    column where no other remaining row is; rounds repeat until none is
+    removed.  Each removed row is nonzero on a column that is zero on every
+    row left after the rounds before its own, so in any vanishing
+    combination of all rows its coefficient is zero, round by round: the
+    removed rows are independent of all other rows, kept by the greedy
+    selection in any order, and absent from every other row's expansion
+    (structured Gaussian elimination: LaMacchia and Odlyzko, CRYPTO 1990).
     """
-    r, c = np.nonzero(nums)
-    removed = np.zeros(len(nums), dtype=bool)
+    n, m = nums.shape
+    r = np.repeat(np.arange(n), np.diff(nums.indptr))
+    c = nums.indices
+    removed = np.zeros(n, dtype=bool)
     while r.size:
-        hit = r[np.bincount(c, minlength=nums.shape[1])[c] == 1]
+        hit = r[np.bincount(c, minlength=m)[c] == 1]
         if not hit.size:
             break
         removed[hit] = True
@@ -328,12 +339,42 @@ def _structural_pivots(nums):
     return removed
 
 
+def _canonical_rows(nums):
+    """`nums` as an int64 CSR matrix with sorted indices, no duplicate and no
+    stored zero, so that its stored entries are its nonzeros.  A stored zero
+    would fake a private column for `_structural_pivots`.  The caller's
+    matrix is never modified: a sparse input is copied only when it is not
+    already in that form."""
+    if not sparse.issparse(nums):
+        return sparse.csr_matrix(np.asarray(nums, dtype=np.int64))
+    rows = nums.tocsr()
+    if rows.dtype != np.int64 or not rows.has_canonical_format or not rows.data.all():
+        rows = rows.astype(np.int64, copy=True)
+        rows.sum_duplicates()
+        rows.eliminate_zeros()
+    return rows
+
+
+def _dense_core(rows):
+    """The CSR matrix `rows` on its nonzero columns, as a dense F-ordered
+    int64 array (see `_select_mod_p`)."""
+    used = np.zeros(rows.shape[1], dtype=bool)
+    used[rows.indices] = True
+    column = np.cumsum(used) - 1
+    out = np.zeros((rows.shape[0], int(used.sum())), dtype=np.int64, order="F")
+    r = np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr))
+    out[r, column[rows.indices]] = rows.data
+    return out
+
+
 def select_rows(nums, dens=None, expand_flags=None, primes=None):
     """Select a maximal independent row subset, in order, with exact lifts.
 
-    nums: (n, m) int64 numerators; dens: (n,) nonzero integer denominators.
-    expand_flags: boolean mask of rows whose dependency (if any) must be
-    returned as an exact rational expansion over earlier kept rows.
+    nums: (n, m) integer numerators, a dense array-like or any scipy sparse
+    matrix, turned once into a canonical int64 CSR matrix and never
+    modified; dens: (n,) nonzero integer denominators.  expand_flags:
+    boolean mask of rows whose dependency (if any) must be returned as an
+    exact rational expansion over earlier kept rows.
 
     Returns (kept_indices, expansions, primes_used): expansions maps each
     dependent flagged row j to its expansion {i: q}, where every key i is a
@@ -345,13 +386,13 @@ def select_rows(nums, dens=None, expand_flags=None, primes=None):
     (`_structural_pivots`) are independent of all other rows by the zero
     pattern of their numerators, which is that of the rational rows, so
     they are kept and no modular arithmetic touches them.  The remaining
-    core rows, restricted to the columns where one of them is nonzero, run
-    through the modular selection.  Its kept rows are independent over Q,
-    because independence mod one prime implies it.  Every dependent row,
-    flagged or not, gets a lifted expansion over the core rows kept before
-    it, checked exactly against nums[i] / dens[i] (`_expansions_hold`),
-    which proves the row dependent over Q; so the kept set is exactly the
-    greedy selection over Q and its size the rank.
+    core rows, restricted to the columns where one of them is nonzero and
+    made dense there, run through the modular selection.  Its kept rows are
+    independent over Q, because independence mod one prime implies it.
+    Every dependent row, flagged or not, gets a lifted expansion over the
+    core rows kept before it, checked exactly against nums[i] / dens[i]
+    (`_expansions_hold`), which proves the row dependent over Q; so the
+    kept set is exactly the greedy selection over Q and its size the rank.
 
     The pool is `primes` when given (a pool prime that divides a
     denominator raises ReconstructionFailure), else the primes of PRIMES
@@ -362,8 +403,8 @@ def select_rows(nums, dens=None, expand_flags=None, primes=None):
     One prime is the normal case.  ReconstructionFailure is raised when the
     pool runs out first.
     """
-    nums = np.ascontiguousarray(nums, dtype=np.int64)
-    n = len(nums)
+    nums = _canonical_rows(nums)
+    n = nums.shape[0]
     dens = np.ones(n, dtype=np.int64) if dens is None else np.asarray(dens)
     flags = np.zeros(n, dtype=bool) if expand_flags is None else expand_flags
     if primes is None:
@@ -376,8 +417,7 @@ def select_rows(nums, dens=None, expand_flags=None, primes=None):
     core = np.flatnonzero(~pivots)
     if not core.size:
         return list(range(n)), {}, 0
-    sub = nums[core]
-    sub, sub_dens = sub[:, sub.any(axis=0)], dens[core]
+    sub, sub_dens = _dense_core(nums[core]), dens[core]
     passes = []
     for p in pool:
         passes.append(_select_mod_p(mod_rows(sub, sub_dens, p), p))

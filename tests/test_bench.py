@@ -2,7 +2,8 @@
 
 Its child process wraps `exactlin.select_rows` (reading the third result,
 the primes used), `exactlin._structural_pivots`, `_assemble_level`,
-`_normalized_level`, `_images` and `_l2_norms` by name.  A rename there breaks no other test but empties or
+`_normalized_level`, `_images` and `_l2_norms` by name, and reads the
+stored entries of each level's rows.  A rename there breaks no other test but empties or
 breaks the benchmark's counters, so one cold p=4 run of the child runs
 here.
 """
@@ -30,6 +31,8 @@ def test_child_records_every_counter():
     assert rec["select_rows_calls"] == 4
     assert rec["primes_used"] == [0, 0, 0, 0]
     assert rec["structural_rows"] == [87, 12, 9, 6]
+    # the stored entries of each level's rows, which are its nonzeros
+    assert rec["level_nnz"] == [2187, 6723, 615, 75]
     assert rec["cpu_s"] > 0
     assert isinstance(rec["norm_fallback_rows"], int)
     assert rec["norm_fallback_rows"] >= 0

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from elacomplex import elasticity_assembly as ea
 from elacomplex import exactlin
@@ -414,8 +415,8 @@ def test_float_gram_matches_exact_integrals():
 
 
 def _oracle_exponents(kind, nums, dens, nvar):
-    """round(log2 ||f||) from the extended-precision norms."""
-    norms = ea._l2_norms(kind, nums, dens, nvar)
+    """round(log2 ||f||) from the extended-precision norms of the CSR rows."""
+    norms = ea._l2_norms(kind, nums.toarray(), dens, nvar)
     return [int(round(math.log2(x))) if x > 0 else 0 for x in norms]
 
 
@@ -426,7 +427,7 @@ def _normalization_inputs(monkeypatch, p, gt):
     if p < 4:
         nvar = p + 1
         rows = ea._space_rows(ea.build_space("vector", p, gt, 1), nvar)
-        ones = np.ones(len(rows), dtype=np.int64)
+        ones = np.ones(rows.shape[0], dtype=np.int64)
         inputs = [("vector", rows, ones, nvar)]
         for name in ("Grad", "sym_grad"):
             nums, dens = ea._images(rows, ones, name, "vector", nvar, nvar)
@@ -468,6 +469,7 @@ def test_norm_exponent_ties_take_the_fallback(monkeypatch):
     nums[2, 4 * n] = 4
     nums[3, 5 * n + 1] = 5  # 5 z / 7, squared norm 50 / 147
     dens = np.array([1, 1, 1, 7], dtype=np.int64)
+    rows = sparse.csr_matrix(nums)
     real = ea._l2_norms
     fallback = []
 
@@ -476,11 +478,11 @@ def test_norm_exponent_ties_take_the_fallback(monkeypatch):
         return real(kind, nums, dens, nvar)
 
     monkeypatch.setattr(ea, "_l2_norms", spy)
-    ks = ea._norm_exponents("symmetric-tensor", nums, dens, nvar)
+    ks = ea._norm_exponents("symmetric-tensor", rows, dens, nvar)
     assert ks.tolist() == [1, 2, 2, -1]
     assert fallback == [tuple(nums[0]), tuple(nums[2])]
     monkeypatch.undo()
-    assert ks.tolist() == _oracle_exponents("symmetric-tensor", nums, dens, nvar)
+    assert ks.tolist() == _oracle_exponents("symmetric-tensor", rows, dens, nvar)
 
 
 @st.composite
@@ -511,6 +513,7 @@ def _sparse_rows(draw):
 @given(_sparse_rows())
 def test_norm_exponents_match_extended_precision_on_sparse_rows(case):
     kind, nums, dens, nvar = case
+    nums = sparse.csr_matrix(nums)
     ks = ea._norm_exponents(kind, nums, dens, nvar)
     assert ks.tolist() == _oracle_exponents(kind, nums, dens, nvar)
 
@@ -610,12 +613,15 @@ def test_level_coords_are_the_coordinates_of_the_fields(complexes_p4, gt):
             assert _exact_coords(field, level.kind, level.nvar) == coords
 
 
+# writing to an entry that is not stored would change the sparsity structure;
+# scipy warns of that before the read-only arrays refuse it
+@pytest.mark.filterwarnings("ignore::scipy.sparse.SparseEfficiencyWarning")
 def test_levels_hold_integer_rows_and_build_fields_lazily():
     ec = ea.build_complex(4, "all", use_cache=False)
     grams = ec.float_grams()
     for level in ec.levels:
         assert "coords" not in level.__dict__ and "fields" not in level.__dict__
-        assert level.dim == len(level.nums) == len(level.dens) > 0
+        assert level.dim == level.nums.shape[0] == len(level.dens) > 0
         with pytest.raises(ValueError):
             level.nums[0, 0] = 1
         with pytest.raises(ValueError):
@@ -672,10 +678,10 @@ def test_operator_matrices_agree_with_poly_calculus(name, in_kind, op_fun, nvar)
     fields = _random_fields(in_kind, nvar - 1, seed=nvar)
     nums, dens = ea._images(*_rows(fields, in_kind, nvar), name, in_kind, nvar, nvar)
     expected = [_exact_coords(op_fun(f), out_kind, nvar) for f in fields]
-    assert _as_coords(nums, dens) == expected
+    assert _as_coords(nums.toarray(), dens) == expected
     # each image row is in least-denominator form, as _integer_rows gives it
     ref_nums, ref_dens = _integer_rows(expected, nums.shape[1])
-    assert np.array_equal(nums, ref_nums) and list(dens) == ref_dens
+    assert np.array_equal(nums.toarray(), ref_nums.toarray()) and list(dens) == ref_dens
 
 
 def test_operator_matrix_from_a_larger_grid():
@@ -685,7 +691,7 @@ def test_operator_matrix_from_a_larger_grid():
         _exact_coords(pc.sym_grad(f), "symmetric-tensor", 5) for f in fields
     ]
     assert nums.shape[1] == 6 * 5**3
-    assert _as_coords(nums, dens) == expected
+    assert _as_coords(nums.toarray(), dens) == expected
 
 
 def test_image_outside_the_grid_is_an_assembly_error():
@@ -738,7 +744,7 @@ def test_adjoining_potentials_enlarges_only_level_0(complexes_p4, gt):
     added = ec.meta["potentials_added"]
     assert added > 0
     for old, new in zip(first.levels[1:], ec.levels[1:]):
-        assert np.array_equal(old.nums, new.nums)
+        assert np.array_equal(old.nums.toarray(), new.nums.toarray())
         assert np.array_equal(old.dens, new.dens)
         assert (old.kind, old.provenance, old.nvar) == (
             new.kind,
@@ -754,8 +760,8 @@ def test_adjoining_potentials_enlarges_only_level_0(complexes_p4, gt):
     n0 = old0.dim
     assert new0.dim == n0 + added and new0.nvar == old0.nvar + 1
     inside = ea._grid_columns(3, old0.nvar, new0.nvar)
-    assert np.array_equal(new0.nums[:n0, inside], old0.nums)
-    assert np.count_nonzero(new0.nums[:n0]) == np.count_nonzero(old0.nums)
+    assert np.array_equal(new0.nums[:n0][:, inside].toarray(), old0.nums.toarray())
+    assert new0.nums[:n0].count_nonzero() == old0.nums.count_nonzero()
     assert np.array_equal(new0.dens[:n0], old0.dens)
     for i in (0, n0 - 1):
         assert (new0.field(i) - old0.field(i)).is_zero()
@@ -781,9 +787,9 @@ def test_image_product_guard_is_an_assembly_error():
     nums[1, 7] = (2**62 - 1) // l1 + 1  # max|nums| * L1 reaches 2^62
     dens = np.ones(2, dtype=np.int64)
     with pytest.raises(ea.AssemblyError, match="exceed 62 bits"):
-        ea._images(nums, dens, "rotrot_t", "symmetric-tensor", 5, 5)
+        ea._images(sparse.csr_matrix(nums), dens, "rotrot_t", "symmetric-tensor", 5, 5)
     nums[1, 7] -= 1  # just below the bound the product runs
-    ea._images(nums, dens, "rotrot_t", "symmetric-tensor", 5, 5)
+    ea._images(sparse.csr_matrix(nums), dens, "rotrot_t", "symmetric-tensor", 5, 5)
 
 
 # --- exact operators ------------------------------------------------------------

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+from elacomplex import elasticity_assembly as ea
 from elacomplex import exactlin as xl
 from elacomplex.rational import Q
+
+from conftest import BOUNDARY_CONFIGS
 
 
 def brute_select(rows):
@@ -242,6 +246,31 @@ def test_select_mod_p_returns_expansions_as_copies():
     kept, deps = xl._select_mod_p(residues, p)
     assert len(kept) == 12 and deps.shape == (12, 28)
     assert deps.base is None or deps.base.shape != residues.T.shape
+
+
+def test_select_mod_p_consumes_an_f_ordered_input(monkeypatch):
+    # an F-ordered input is eliminated in its own buffer, with no transposed
+    # copy: the pass overwrites it, and its result is that of a C-ordered
+    # copy, which the pass leaves as it was
+    nums, dens = _low_rank(7, 40, 30, 12)
+    p = xl.PRIMES[0]
+    residues = xl.mod_rows(nums, dens, p)
+    c_rows, f_rows = residues.copy(), np.asfortranarray(residues)
+    kept, deps = xl._select_mod_p(c_rows, p)
+    assert np.array_equal(c_rows, residues)
+    f_kept, f_deps = xl._select_mod_p(f_rows, p)
+    assert not np.array_equal(f_rows, residues)
+    assert f_kept == kept and np.array_equal(f_deps, deps)
+    # select_rows hands each pass the F-ordered residues of its core
+    real, orders = xl._select_mod_p, []
+
+    def spy(rows, p):
+        orders.append(rows.flags.f_contiguous)
+        return real(rows, p)
+
+    monkeypatch.setattr(xl, "_select_mod_p", spy)
+    xl.select_rows(nums, dens)
+    assert orders and all(orders)
 
 
 def _rref_mod_p(rows, p):
@@ -615,12 +644,76 @@ def test_structural_pivots_change_no_selection(case):
     nums, dens, flags = case
     kept, exps, used = xl.select_rows(nums, dens, flags)
     assert kept == brute_select(_frac_rows(nums, dens))
-    pivots = xl._structural_pivots(nums)
+    pivots = xl._structural_pivots(sparse.csr_matrix(nums))
     assert set(np.flatnonzero(pivots).tolist()) <= set(kept)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(xl, "_structural_pivots", lambda a: np.zeros(len(a), dtype=bool))
+        mp.setattr(xl, "_structural_pivots", lambda a: np.zeros(a.shape[0], dtype=bool))
         assert xl.select_rows(nums, dens, flags)[:2] == (kept, exps)
     assert (used == 0) == bool(pivots.all())
+
+
+@st.composite
+def _noncanonical_csr(draw, nums):
+    """A CSR matrix equal to `nums` whose rows, in shuffled order, hold
+    nonzeros split into duplicates, stored zeros and cancelling pairs, also
+    in columns that are zero on every row."""
+    indices, data, indptr = [], [], [0]
+    for row in nums.tolist():
+        entries = []
+        for j, v in enumerate(row):
+            if v and draw(st.booleans()):
+                a = draw(st.integers(-3, 3))
+                entries += [(j, a), (j, v - a)]
+            elif v:
+                entries.append((j, v))
+            elif draw(st.integers(0, 3)) == 0:
+                a = draw(st.integers(0, 2))
+                entries += [(j, a), (j, -a)] if a else [(j, 0)]
+        for j, v in draw(st.permutations(entries)):
+            indices.append(j)
+            data.append(v)
+        indptr.append(len(indices))
+    rows = sparse.csr_matrix(
+        (np.array(data, dtype=np.int64), indices, indptr), shape=nums.shape
+    )
+    assert np.array_equal(rows.toarray(), nums)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_select_rows_on_noncanonical_csr_matches_dense(data):
+    # a stored zero would fake a private column, so the input is
+    # canonicalised first; the caller's matrix, writeable or read-only, is
+    # left as it was
+    nums, dens, flags = data.draw(_staircase_rows())
+    rows = data.draw(_noncanonical_csr(nums))
+    expected = xl.select_rows(nums, dens, flags)
+    for read_only in (False, True):
+        given_rows = rows.copy()
+        if read_only:
+            ea._read_only(given_rows)
+        arrays = (given_rows.data, given_rows.indices, given_rows.indptr)
+        before = [a.copy() for a in arrays]
+        assert xl.select_rows(given_rows, dens, flags) == expected
+        after = (given_rows.data, given_rows.indices, given_rows.indptr)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert all(a.flags.writeable != read_only for a in after)
+
+
+@pytest.mark.parametrize("gt", BOUNDARY_CONFIGS)
+def test_level_rows_are_canonical_read_only_csr(complexes_p4, gt):
+    # the rows every selection of an assembly reads: sorted indices, no
+    # duplicate and no stored zero, so the stored entries are the nonzeros
+    for level in complexes_p4[gt].levels:
+        nums = level.nums
+        assert nums.format == "csr" and nums.dtype == np.int64
+        assert nums.has_canonical_format and nums.data.all()
+        first = np.zeros(nums.nnz + 1, dtype=bool)
+        first[nums.indptr] = True
+        assert np.all(np.diff(nums.indices)[~first[1:-1]] > 0)
+        arrays = (nums.data, nums.indices, nums.indptr)
+        assert not any(a.flags.writeable for a in arrays)
 
 
 def test_select_rows_of_structural_pivots_only_runs_no_prime(monkeypatch):
@@ -649,7 +742,8 @@ def test_structural_pivots_peel_round_by_round(monkeypatch):
             [1, 1, 0, 0, 0, 0],
         ]
     )
-    assert xl._structural_pivots(nums).tolist() == [False, True, False, True, False, True]
+    pivots = xl._structural_pivots(sparse.csr_matrix(nums))
+    assert pivots.tolist() == [False, True, False, True, False, True]
     shapes = []
     real = xl._select_mod_p
 
