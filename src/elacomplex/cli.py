@@ -27,7 +27,6 @@ from .elasticity_assembly import (
     DegreeTooLow,
     AssemblyError,
     build_complex,
-    dirichlet_neumann_fields,
     korn_constant,
 )
 

@@ -36,7 +36,7 @@ not floating-point estimates.
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy import sparse
@@ -46,7 +46,7 @@ from . import exactlin
 from . import fa_toolbox as fa
 from . import poly_calculus as pc
 from .poly_calculus import Poly3, PolyMatField, PolyVecField
-from .rational import Q, as_q
+from .rational import Q
 
 FACE_NAMES = ("X0", "X1", "Y0", "Y1", "Z0", "Z1")
 
@@ -117,15 +117,10 @@ class BoundarySelection:
             return "all"
         return "+".join(sorted(self.faces, key=FACE_NAMES.index))
 
-    def __contains__(self, face):
-        return face in self.faces
-
 
 # ---------------------------------------------------------------------------
 # univariate factor bases
 # ---------------------------------------------------------------------------
-
-_FACTOR_CACHE = {}
 
 
 def _uni_inner(f, g):
@@ -141,6 +136,7 @@ def _uni_inner(f, g):
     return total
 
 
+@cache
 def univariate_factor_basis(degree, m0, m1):
     """Integer-coefficient basis of {x^m0 (1-x)^m1 q : deg q <= degree-m0-m1}.
 
@@ -151,10 +147,6 @@ def univariate_factor_basis(degree, m0, m1):
     members, rescaled to integer coefficients with positive leading
     coefficient.
     """
-    key = (degree, m0, m1)
-    hit = _FACTOR_CACHE.get(key)
-    if hit is not None:
-        return hit
     count = degree + 1 - m0 - m1
     if count < 0:
         raise DegreeTooLow(
@@ -182,9 +174,7 @@ def univariate_factor_basis(degree, m0, m1):
         ints = [c // g for c in ints]
         basis.append(tuple(ints))
         norms.append(_uni_inner([Q(c) for c in ints], [Q(c) for c in ints]))
-    result = (tuple(basis), tuple(norms))
-    _FACTOR_CACHE[key] = result
-    return result
+    return tuple(basis), tuple(norms)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +429,6 @@ _OPERATORS = {
     "rotrot_t": "symmetric-tensor",
     "Div": "vector",
 }
-_OPERATOR_CACHE = {}
 
 
 def _read_only(matrix):
@@ -448,6 +437,7 @@ def _read_only(matrix):
         a.flags.writeable = False
 
 
+@cache
 def _operator_matrix(name, in_kind, nvar):
     """A chain operator on the nvar monomial grid: (D, den, l1).
 
@@ -458,10 +448,6 @@ def _operator_matrix(name, in_kind, nvar):
     the one definition of the operators.  D is read-only, as it is shared
     by every caller.  `l1` is the largest column L1 norm of D.
     """
-    key = (name, in_kind, nvar)
-    hit = _OPERATOR_CACHE.get(key)
-    if hit is not None:
-        return hit
     op = getattr(pc, name)
     images = [
         _coord_row(
@@ -480,7 +466,6 @@ def _operator_matrix(name, in_kind, nvar):
     D = sparse.csr_matrix((np.array(vals, dtype=np.int64), (rows, cols)), shape)
     _read_only(D)
     l1 = int(abs(D).sum(axis=0).max())
-    _OPERATOR_CACHE[key] = (D, den, l1)
     return D, den, l1
 
 
@@ -545,9 +530,7 @@ def _images(nums, dens, name, in_kind, nvar_in, nvar):
     return _scaled_to_lowest_terms(out, dens * den)
 
 
-_LEGENDRE_CACHE = {}
-
-
+@cache
 def _legendre_frame(nvar):
     """Monomial-to-scaled-Legendre transform for one axis (longdouble).
 
@@ -558,9 +541,6 @@ def _legendre_frame(nvar):
     therefore coordinates in an orthonormal univariate frame.  Assembled
     exactly and rounded once per entry.
     """
-    cached = _LEGENDRE_CACHE.get(nvar)
-    if cached is not None:
-        return cached
     polys, norms = univariate_factor_basis(nvar - 1, 0, 0)
     W = np.zeros((nvar, nvar), dtype=np.longdouble)
     for k, (coeffs, norm) in enumerate(zip(polys, norms)):
@@ -568,7 +548,6 @@ def _legendre_frame(nvar):
             t = sum(Q(c, a + j + 1) for j, c in enumerate(coeffs)) / norm
             W[k, a] = np.longdouble(t.numerator) / np.longdouble(t.denominator)
         W[k] /= np.sqrt(np.longdouble(1 / norm))
-    _LEGENDRE_CACHE[nvar] = W
     return W
 
 
@@ -629,19 +608,14 @@ def _l2_norms(kind, nums, dens, nvar):
     return np.concatenate(norms)
 
 
-_KRON_CACHE = {}
-
-
+@cache
 def _kron_frame(nvar):
     """(K^T, |K|^T) in float64 for K = W (x) W (x) W, the Legendre frame
     change of the whole nvar grid (`_legendre_frame`), formed in extended
     precision and rounded once per entry."""
-    cached = _KRON_CACHE.get(nvar)
-    if cached is None:
-        W = _legendre_frame(nvar)
-        KT = np.ascontiguousarray(np.kron(np.kron(W, W), W).T.astype(np.float64))
-        cached = _KRON_CACHE[nvar] = (KT, np.abs(KT))
-    return cached
+    W = _legendre_frame(nvar)
+    KT = np.ascontiguousarray(np.kron(np.kron(W, W), W).T.astype(np.float64))
+    return KT, np.abs(KT)
 
 
 def _norm_exponents(kind, nums, dens, nvar):
@@ -1164,22 +1138,21 @@ class ElasticityComplex:
             self._float["grams"] = grams
         return grams
 
-    def finite_complex(self, g1=None, g2=None):
-        """Float FiniteComplex; g1/g2 replace the weights on V1/V2."""
-        if g1 is None and g2 is None and "complex" in self._float:
+    def finite_complex(self, g1=None):
+        """Float FiniteComplex; g1, when given, replaces the weight on V1."""
+        if g1 is None and "complex" in self._float:
             return self._float["complex"]
         grams = list(self.float_grams())
-        for k, g in ((1, g1), (2, g2)):
-            if g is not None:
-                grams[k] = np.asarray(g, dtype=np.float64)
-                if grams[k].shape != (self.levels[k].dim,) * 2:
-                    raise fa.DimensionMismatch("weight on V%d has the wrong shape" % k)
+        if g1 is not None:
+            grams[1] = np.asarray(g1, dtype=np.float64)
+            if grams[1].shape != (self.levels[1].dim,) * 2:
+                raise fa.DimensionMismatch("weight on V1 has the wrong shape")
         ops = self._float.get("ops")
         if ops is None:
             ops = tuple(op.to_float() for op in self.ops)
             self._float["ops"] = ops
         cx = fa.FiniteComplex(grams, list(ops))
-        if g1 is None and g2 is None:
+        if g1 is None:
             self._float["complex"] = cx
         return cx
 
@@ -1411,64 +1384,29 @@ def rigid_motion_basis():
     return RigidMotionBasis(fields)
 
 
-def _expand_univariate(target, factors):
-    """Exact coefficients of `target` (ascending rationals) in the factor
-    basis, or None when the target lies outside the span."""
-    residual = [as_q(c) for c in target]
-    coeffs = [Q(0)] * len(factors)
-    leads = []
-    for k, f in enumerate(factors):
-        deg = max(i for i, c in enumerate(f) if c != 0)
-        leads.append((deg, k))
-    for deg, k in sorted(leads, reverse=True):
-        if deg >= len(residual):
-            continue
-        lead = Q(factors[k][deg])
-        c = residual[deg] / lead if residual[deg] != 0 else Q(0)
-        if c != 0:
-            coeffs[k] = c
-            for i, fc in enumerate(factors[k]):
-                if fc != 0:
-                    residual[i] -= c * fc
-    if any(c != 0 for c in residual):
-        return None
-    return coeffs
-
-
 def rigid_motion_coordinates(space):
     """Exact coordinates of the six rigid motions in a vector FieldSpace.
 
+    Returns six columns {field index: nonzero rational}.  The space's
+    integer rows, followed by the rigid motions' rows on a grid that holds
+    both, go through one certified selection; each rigid motion must come
+    out dependent, and its expansion over the space's rows is its column.
     Raises ValueError when the space's boundary constraints exclude them.
     """
     if space.kind != "vector":
         raise ValueError("rigid motions live in a vector space, not %r" % space.kind)
-    rm = rigid_motion_basis()
-    nx, ny, nz = space.counts
-    block = nx * ny * nz
-    columns = []
-    for f in rm.fields:
-        col = {}
-        for comp in range(3):
-            poly = f[comp]
-            for (a, b, c), coeff in poly.terms.items():
-                ex = _expand_univariate(
-                    [Q(0)] * a + [coeff], space.factors[0]
-                )
-                ey = _expand_univariate([Q(0)] * b + [Q(1)], space.factors[1])
-                ez = _expand_univariate([Q(0)] * c + [Q(1)], space.factors[2])
-                if ex is None or ey is None or ez is None:
-                    raise ValueError(
-                        "space with constraints %s does not contain the rigid"
-                        " motions" % space.bc.label
-                    )
-                nonzero = (
-                    [(i, c) for i, c in enumerate(e) if c != 0] for e in (ex, ey, ez)
-                )
-                for (i, cx), (j, cy), (k, cz) in itertools.product(*nonzero):
-                    idx = comp * block + (i * ny + j) * nz + k
-                    col[idx] = col.get(idx, 0) + cx * cy * cz
-        columns.append({i: q for i, q in col.items() if q != 0})
-    return columns
+    fields = rigid_motion_basis().fields
+    rm_nums, rm_dens, nvar = _vector_rows(fields, space.degree + 1)
+    nums = sparse.vstack([_space_rows(space, nvar), rm_nums], format="csr")
+    dens = np.concatenate([np.ones(space.dim, dtype=np.int64), rm_dens])
+    flags = np.arange(nums.shape[0]) >= space.dim
+    kept, expansions, _ = _select_exact(nums, dens, flags)
+    if any(i >= space.dim for i in kept):
+        raise ValueError(
+            "space with constraints %s does not contain the rigid motions"
+            % space.bc.label
+        )
+    return [expansions[space.dim + r] for r in range(len(fields))]
 
 
 def _rigid_motion_matrix(space):

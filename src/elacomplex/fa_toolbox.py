@@ -16,7 +16,6 @@ Grams carried by the middle spaces, so "adjoint" always means adjoint with
 respect to those weighted inner products.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +50,8 @@ class WrongCardinality(ValueError):
     pass
 
 
-def default_rank_tol(shape, smax, safety=100.0):
-    return max(shape) * np.finfo(np.float64).eps * smax * safety
+def default_rank_tol(shape, smax):
+    return max(shape) * np.finfo(np.float64).eps * smax * 100.0
 
 
 def _used_tol(shape, s, tol):
@@ -95,16 +94,19 @@ class InnerProduct:
         return solve_triangular(self.L.T, Y, lower=False) if self.dim else Y
 
 
-def random_spd(n, rng, delta=0.1):
-    """Admissible random weight: B^T B + delta I keeps it SPD."""
+def random_spd(n, rng):
+    """Admissible random weight: B^T B + 0.1 I keeps it SPD."""
     B = rng.uniform(-1.0, 1.0, size=(n, n))
-    return B.T @ B + delta * np.eye(n)
+    return B.T @ B + 0.1 * np.eye(n)
 
 
 class FiniteComplex:
-    """Immutable chain H0 -> H1 -> H2 -> H3 with SPD Grams on every level."""
+    """Immutable chain H0 -> H1 -> H2 -> H3 with SPD Grams on every level.
 
-    def __init__(self, grams, operators, tol=1e-12):
+    Consecutive operators must compose to at most 1e-12 in every entry.
+    """
+
+    def __init__(self, grams, operators):
         if len(grams) != len(operators) + 1:
             raise DimensionMismatch("need one more space than operator")
         self._cache = {}
@@ -112,7 +114,6 @@ class FiniteComplex:
             g if isinstance(g, InnerProduct) else InnerProduct(g) for g in grams
         ]
         self.operators = [np.asarray(A, dtype=np.float64) for A in operators]
-        self.tol = float(tol)
         for i, A in enumerate(self.operators):
             if A.shape != (self.spaces[i + 1].dim, self.spaces[i].dim):
                 raise DimensionMismatch(
@@ -123,7 +124,7 @@ class FiniteComplex:
         for i in range(len(self.operators) - 1):
             comp = self.operators[i + 1] @ self.operators[i]
             m = float(np.max(np.abs(comp))) if comp.size else 0.0
-            if m > self.tol:
+            if m > 1e-12:
                 raise DimensionMismatch(
                     "complex property violated at level %d: |A%dA%d|_max = %g"
                     % (i + 1, i + 1, i, m)
@@ -157,19 +158,18 @@ class FiniteComplex:
         }
 
     @classmethod
-    def from_json_dict(cls, data, tol=1e-12):
+    def from_json_dict(cls, data):
+        """The complex of a `to_json_dict` document; a NaN or infinite entry
+        raises ValueError."""
         dims = data["dims"]
         grams = [np.array(g, dtype=np.float64) for g in data["grams"]]
         ops = [np.array(A, dtype=np.float64) for A in data["operators"]]
+        if not all(np.isfinite(M).all() for M in grams + ops):
+            raise ValueError("a Gram or operator entry is not finite")
         for d, g in zip(dims, grams):
             if g.shape != (d, d):
                 raise DimensionMismatch("gram shape disagrees with dims")
-        return cls(grams, ops, tol=tol)
-
-    @classmethod
-    def load(cls, path, tol=1e-12):
-        with open(path) as f:
-            return cls.from_json_dict(json.load(f), tol=tol)
+        return cls(grams, ops)
 
 
 def adjoint(A, g_dom, g_cod):
@@ -205,10 +205,10 @@ def kernel_basis(A, g, tol=None):
     return g.from_orthonormal(Y)
 
 
-def rank_of(A, g_dom, g_cod, tol=None):
+def rank_of(A, g_dom, g_cod):
     At = _transformed(np.asarray(A, dtype=np.float64), g_dom)
     s = np.linalg.svd(At, compute_uv=False) if At.size else np.array([])
-    return int(np.sum(s > _used_tol(At.shape, s, tol)))
+    return int(np.sum(s > _used_tol(At.shape, s, None)))
 
 
 def _harmonic_constraints(cx, n):
@@ -276,9 +276,9 @@ def cohomology(cx, n, tol=None):
     return CohomologyReport(cx, n, dimension, used_tol)
 
 
-def harmonic_projector(cx, n, tol=None):
+def harmonic_projector(cx, n):
     """G_n-orthogonal projector onto the harmonic space at level n."""
-    B = cohomology(cx, n, tol=tol).basis
+    B = cohomology(cx, n).basis
     return B @ B.T @ cx.gram(n).G
 
 
@@ -443,14 +443,14 @@ def complex_constants(cx, tol=None):
     return out
 
 
-def mixed_estimate_check(x, cx, c0, c1, ortho_tol=1e-8):
+def mixed_estimate_check(x, cx, c0, c1):
     """|x|_e^2 <= c1^2 |A1 x|_mu^2 + c0^2 |A0* x|^2 for x perp Harm at n=1."""
     g1 = cx.gram(1)
     x = np.asarray(x, dtype=np.float64)
     H = cohomology(cx, 1).basis
     if H.size:
         coef = H.T @ (g1.G @ x)
-        if np.linalg.norm(coef) > ortho_tol * max(g1.norm(x), 1e-300):
+        if np.linalg.norm(coef) > 1e-8 * max(g1.norm(x), 1e-300):
             raise NotOrthogonalToHarmonics(
                 "harmonic component %g" % float(np.linalg.norm(coef))
             )
@@ -464,12 +464,12 @@ def mixed_estimate_check(x, cx, c0, c1, ortho_tol=1e-8):
     return holds, slack
 
 
-def reduced_inverse(A, g_dom, g_cod, tol=None):
+def reduced_inverse(A, g_dom, g_cod):
     """Weighted pseudo-inverse P with A P = id on R(A) and R(P) perp N(A)."""
     A = np.asarray(A, dtype=np.float64)
     At = g_cod.L.T @ _transformed(A, g_dom)
     U, s, Vt = np.linalg.svd(At, full_matrices=False)
-    used_tol = _used_tol(At.shape, s, tol)
+    used_tol = _used_tol(At.shape, s, None)
     inv = np.where(s > used_tol, 1.0 / np.where(s > used_tol, s, 1.0), 0.0)
     Pt = (Vt.T * inv) @ U.T
     # undo the congruence on both sides
@@ -505,24 +505,28 @@ class DecompositionOperators:
         return float(np.max(np.abs(M))) if n else 0.0
 
 
-def regular_decomposition(cx, n, p_n=None, p_prev=None, tol=1e-10):
+def regular_decomposition(cx, n, p_n=None):
     """Decomposition operators at level n: Q1 = P_n A_n, Q0 = P_{n-1}(1-Q1).
 
     With trivial cohomology at level n this gives Q1 + A_{n-1} Q0 = id; in
     general the identity needs the harmonic term: Q1 + Qh + A_{n-1} Q0 = id
-    where Qh projects the complement onto the harmonic space.
+    where Qh projects the complement onto the harmonic space.  P_n is the
+    reduced inverse of A_n unless `p_n` is given; InvalidPotential is raised
+    when A_n P_n A_n misses A_n by more than 1e-8 times max(1, max|A_n|).
     """
     A_n = cx.op(n)
     A_prev = cx.op(n - 1)
     g_n = cx.gram(n)
     if p_n is None:
         p_n = reduced_inverse(A_n, g_n, cx.gram(n + 1))
-    if p_prev is None:
-        p_prev = reduced_inverse(A_prev, cx.gram(n - 1), g_n) if A_prev.size else np.zeros((A_prev.shape[1], g_n.dim))
+    if A_prev.size:
+        p_prev = reduced_inverse(A_prev, cx.gram(n - 1), g_n)
+    else:
+        p_prev = np.zeros((A_prev.shape[1], g_n.dim))
     if A_n.size:
         defect = float(np.max(np.abs(A_n @ p_n @ A_n - A_n)))
         scale = max(float(np.max(np.abs(A_n))), 1.0)
-        if defect > tol * scale * 100:
+        if defect > 1e-8 * scale:
             raise InvalidPotential(
                 "A_n P_n is not the identity on R(A_n): defect %g" % defect
             )
@@ -555,11 +559,11 @@ def operator_norm(M, g_dom, g_cod):
     return float(s[0]) if s.size else 0.0
 
 
-def _span_rank(X, g, tol=None, floor=1.0):
+def _span_rank(X, g):
     """Rank of the span of the columns of X in the G geometry.
 
     The inputs here are G-normalized vectors (basis vectors or projections
-    of them), so the rank tolerance keeps an O(floor) reference scale: a
+    of them), so the rank tolerance keeps an O(1) reference scale: a
     matrix of projections that is numerically zero must report rank 0, not
     full rank relative to its own noise level.
     """
@@ -568,21 +572,19 @@ def _span_rank(X, g, tol=None, floor=1.0):
     Y = g.L.T @ X
     s = np.linalg.svd(Y, compute_uv=False)
     smax = s[0] if s.size else 0.0
-    if tol is None:
-        tol = default_rank_tol(Y.shape, max(smax, floor))
-    return int(np.sum(s > tol))
+    return int(np.sum(s > default_rank_tol(Y.shape, max(smax, 1.0))))
 
 
-def _same_span(X, Y, g, tol=None):
-    rx = _span_rank(X, g, tol)
-    ry = _span_rank(Y, g, tol)
+def _same_span(X, Y, g):
+    rx = _span_rank(X, g)
+    ry = _span_rank(Y, g)
     rj = _span_rank(
-        np.hstack([X, Y]) if X.size and Y.size else (X if X.size else Y), g, tol
+        np.hstack([X, Y]) if X.size and Y.size else (X if X.size else Y), g
     )
     return rx == ry == rj
 
 
-def kernel_projector_images(cx, n=1, tol=None):
+def kernel_projector_images(cx, n=1):
     """Both kernel projector images of the harmonic space, compared.
 
     pi onto N(A_{n-1}*) applied to N(A_n) and pi onto N(A_n) applied to
@@ -592,11 +594,11 @@ def kernel_projector_images(cx, n=1, tol=None):
     g = cx.gram(n)
     A_n = cx.op(n)
     A_prev = cx.op(n - 1)
-    kn = kernel_basis(A_n, g, tol=tol)
-    kstar = kernel_basis(A_prev.T @ g.G, g, tol=tol)
+    kn = kernel_basis(A_n, g)
+    kstar = kernel_basis(A_prev.T @ g.G, g)
     pi_star = kstar @ kstar.T @ g.G  # G-orthogonal projector onto N(A*)
     pi_ker = kn @ kn.T @ g.G
-    harm = cohomology(cx, n, tol=tol).basis
+    harm = cohomology(cx, n).basis
     img1 = pi_star @ kn
     img2 = pi_ker @ kstar
     range_prev = A_prev if A_prev.size else np.zeros((g.dim, 0))
@@ -605,18 +607,16 @@ def kernel_projector_images(cx, n=1, tol=None):
     )
     return {
         "harm_dim": harm.shape[1],
-        "image_rank_star": _span_rank(img1, g, tol),
-        "image_rank_ker": _span_rank(img2, g, tol),
-        "spans_agree": bool(
-            _same_span(img1, harm, g, tol) and _same_span(img2, harm, g, tol)
-        )
+        "image_rank_star": _span_rank(img1, g),
+        "image_rank_ker": _span_rank(img2, g),
+        "spans_agree": bool(_same_span(img1, harm, g) and _same_span(img2, harm, g))
         if harm.size
-        else (_span_rank(img1, g, tol) == 0 and _span_rank(img2, g, tol) == 0),
+        else (_span_rank(img1, g) == 0 and _span_rank(img2, g) == 0),
         "projector_kills_range": on_range,
     }
 
 
-def pre_basis_check(B, cx, n=1, tol=None):
+def pre_basis_check(B, cx, n=1):
     """Validate a candidate pre-basis B (columns) of the harmonic space.
 
     B must consist of kernel elements of A_n, have exactly harm-dim many
@@ -632,7 +632,7 @@ def pre_basis_check(B, cx, n=1, tol=None):
         nj = g.norm(B[:, j])
         if nj > 0:
             B[:, j] /= nj
-    harm = cohomology(cx, n, tol=tol).basis
+    harm = cohomology(cx, n).basis
     d = harm.shape[1]
     if B.shape[1] != d:
         raise WrongCardinality(
@@ -640,10 +640,10 @@ def pre_basis_check(B, cx, n=1, tol=None):
             % (B.shape[1], d)
         )
     A_prev = cx.op(n - 1)
-    kstar = kernel_basis(A_prev.T @ g.G, g, tol=tol)
+    kstar = kernel_basis(A_prev.T @ g.G, g)
     pi_star = kstar @ kstar.T @ g.G
     projected = pi_star @ B
-    proj_rank = _span_rank(projected, g, tol)
+    proj_rank = _span_rank(projected, g)
     # Harm ∩ B-perp: harmonic combinations annihilated by <B, .>_G
     M = B.T @ g.G @ harm if harm.size else np.zeros((B.shape[1], 0))
     cap_dim = (
@@ -662,7 +662,7 @@ def pre_basis_check(B, cx, n=1, tol=None):
             cap_basis = kstar
     else:
         cap_basis = np.zeros((g.dim, 0))
-    equals_range = _same_span(cap_basis, astar, g, tol)
+    equals_range = _same_span(cap_basis, astar, g)
     ok = proj_rank == d and cap_dim == 0 and equals_range
     return {
         "cardinality": B.shape[1],

@@ -270,6 +270,25 @@ def test_fixture_operators_not_numbers(tmp_path, capsys):
     assert "config error: invalid fixture" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dims": [2, 1], "grams": [[[1, 0], [0, 1]], [[1]]],'
+        ' "operators": [[[NaN, 1.0]]]}',
+        '{"dims": [2, 1], "grams": [[[1, 0], [0, Infinity]], [[1]]],'
+        ' "operators": [[[1.0, 1.0]]]}',
+    ],
+    ids=["nan_operator", "infinite_gram"],
+)
+def test_fixture_non_finite_entry(tmp_path, capsys, text):
+    path = tmp_path / "non_finite.json"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "fixture", "--fixture", str(path))
+    assert code == 2
+    assert "config error: invalid fixture" in err
+    assert "Traceback" not in err
+
+
 _FIXTURE_LEAVES = st.one_of(
     st.none(),
     st.booleans(),

@@ -182,19 +182,31 @@ def test_rigid_motion_basis_kernel_and_gram():
     assert np.all(np.linalg.eigvalsh(M) > 0)
 
 
-def test_rigid_motion_coordinates_reconstruct_exactly():
-    space = ea.build_space("vector", 2, "none", 1)
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_rigid_motion_coordinates_reconstruct_exactly(degree):
+    space = ea.build_space("vector", degree, "none", 1)
     cols = ea.rigid_motion_coordinates(space)
     rm = ea.rigid_motion_basis()
+    assert len(cols) == len(rm.fields)
     for col, target in zip(cols, rm.fields):
+        assert all(q != 0 for q in col.values())
         acc = PolyVecField([Poly3.zero()] * 3)
         for i, q in col.items():
             acc = acc + space.fields[i].scale(q)
         assert (acc - target).is_zero()
 
 
-def test_rigid_motion_coordinates_need_unconstrained_space():
-    space = ea.build_space("vector", 2, "X0", 1)
+@pytest.mark.parametrize(
+    "kind, degree, gt",
+    [
+        ("vector", 0, "none"),
+        ("vector", 2, "X0"),
+        ("vector", 2, "X0,X1"),
+        ("symmetric-tensor", 2, "none"),
+    ],
+)
+def test_rigid_motion_coordinates_need_unconstrained_space(kind, degree, gt):
+    space = ea.build_space(kind, degree, gt, 1)
     with pytest.raises(ValueError):
         ea.rigid_motion_coordinates(space)
 
