@@ -610,55 +610,64 @@ def _l2_norms(kind, nums, dens, nvar):
 
 @cache
 def _kron_frame(nvar):
-    """(K^T, |K|^T) in float64 for K = W (x) W (x) W, the Legendre frame
-    change of the whole nvar grid (`_legendre_frame`), formed in extended
-    precision and rounded once per entry."""
+    """(K^T, mu) in float64.  K = W (x) W (x) W is the Legendre frame change
+    of the whole nvar grid (`_legendre_frame`), formed in extended
+    precision and rounded once per entry; mu_i = ((2a+1)(2b+1)(2c+1))^-1/2
+    is the L2 norm of monomial i = x^a y^b z^c, hence the norm of column i
+    of the exact K.  W, so K, is entrywise nonnegative: W[k, a] is the
+    integral of x^a against a shifted Legendre polynomial, a!^2 / ((a-k)!
+    (a+k+1)!) times a positive scale for k <= a, and 0 for k > a."""
     W = _legendre_frame(nvar)
     KT = np.ascontiguousarray(np.kron(np.kron(W, W), W).T.astype(np.float64))
-    return KT, np.abs(KT)
+    m = 1 / np.sqrt(2 * np.arange(nvar) + 1.0)
+    return KT, np.kron(np.kron(m, m), m)
 
 
-def _norm_exponents(kind, nums, dens, nvar):
-    """k_i = round(log2 ||f_i||) for the fields f_i = nums[i] / dens[i], with
-    `nums` a canonical CSR matrix: the exponents
-    `round(log2(_l2_norms(...)))` would give on the dense rows, bit for bit.
+def _norm_bounds(kind, nums, dens, nvar):
+    """(s, e): s_i, the squared L2 norm of the field f_i = nums[i] / dens[i]
+    formed in float64, and e_i, an a-priori bound on the distance of s_i
+    from the square of the extended-precision `_l2_norms`; `nums` is a
+    canonical CSR matrix.
 
-    The squared norm s_i is formed in float64, with an a-priori bound e_i
-    on its distance from the extended-precision value of `_l2_norms`.  The
-    cell boundaries of k lie at s = 2^(2k +- 1), so row i is decided when
-    [s_i - e_i, s_i + e_i] holds no power of two with an odd exponent; the
-    other rows (an exact tie among them) go through `_l2_norms`.
-
-    The rows are sparse (a few percent nonzero), so each block of rows is
-    one CSR matrix X over its stored entries, one row per field component,
-    read from the slice of `nums`'s index and data arrays, and
-    the frame change K = W (x) W (x) W (cached) is applied as the sparse
-    products X K^T and |X| |K|^T: nnz nvar^3 flops per row and component
-    instead of nvar^6, in scipy's C loops rather than a BLAS call.  The
-    weighted sums over the components are elementwise too.
+    Each block of rows is one CSR matrix X over its stored entries, one row
+    per field component, read from the slice of `nums`'s index and data
+    arrays; the frame change K = W (x) W (x) W (cached) is the one sparse
+    product Y = X K^T: nnz nvar^3 flops per row and component instead of
+    nvar^6, in scipy's C loops rather than a BLAS call.  The sums over
+    frame coordinates and components are elementwise.
 
     The bound (a filter in the sense of Shewchuk's adaptive predicates):
-    with x a row, a = |K| |x| (the second product) and y = K x, each
-    float64 entry of y is within c a of the exact one, c = 2((n + 4) u +
-    14 v) for n = nvar^3 terms, u = 2^-53 and v the unit roundoff of
-    longdouble (rounding of x and K, and the product); each entry of the
-    oracle's frame change is within c_o a + u |y|, c_o = 2 (3 nvar + 20) v.
-    So the weighted sums of squares differ by at most
+    with x a row, y = K x its float64 product and a = |K| |x|, each entry
+    of y is within c a of the exact one, c = 2((n + 4) u + 14 v) for n =
+    nvar^3 terms, u = 2^-53 and v the unit roundoff of longdouble
+    (rounding of x and K, and the product); each entry of the oracle's
+    frame change is within c_o a + u |y|, c_o = 2 (3 nvar + 20) v.  So the
+    weighted sums of squares differ by at most
     sum w a (2 c |y| + (c^2 + 3 c_o) a), plus (2 m + 4096) u s for the two
     sums of m = ncomp n squares, the oracle's square root, log2 and round,
     and the rounding of the bound itself.  These error bounds on a sum of
     at most n terms hold for every order of summation (Higham, Accuracy
     and Stability of Numerical Algorithms, 3.1), and a skipped exact zero
     adds no rounding, so the sparse products keep them.
+
+    a is not formed.  Per component, Cauchy-Schwarz gives
+    sum a |y| <= ||a|| ||y||, and as K >= 0 the triangle inequality gives
+    ||a|| = ||sum_i |x_i| K e_i|| <= t = sum_i |x_i| mu_i.  So
+    e = sum w (2 c t ||y|| + (c^2 + 3 c_o) t^2) + (2 m + 4096) u s, no
+    smaller than the bound above.  t and ||y|| are rounded up by the
+    factor 1 + 2 (n + 8) u, which covers the rounding of x, K, mu and of
+    the products and sums that form a, t and ||y||; the weighted sum is
+    rounded up by 1 + 16 u, which covers its own at most 12 roundings.
     """
     ncomp = _KIND_COMPONENTS[kind]
     weights = np.array(_KIND_WEIGHTS[kind], dtype=np.float64)
-    KT, KabsT = _kron_frame(nvar)
+    KT, mu = _kron_frame(nvar)
     n = nvar**3
     u = np.finfo(np.float64).eps / 2
     v = float(np.finfo(np.longdouble).eps) / 2
     c = 2 * ((n + 4) * u + 14 * v)
     c_o = 2 * (3 * nvar + 20) * v
+    up = 1 + 2 * (n + 8) * u
     rel = (2 * ncomp * n + 4096) * u
     s, e = [], []
     nrows = nums.shape[0]
@@ -671,17 +680,33 @@ def _norm_exponents(kind, nums, dens, nvar):
         # X is the block reshaped to one row per field component; the
         # block's stored entries, in order, are X's entries in CSR order
         xrow = r * ncomp + cols // n
+        mono = cols % n
         shape = ((stop - i) * ncomp, n)
         indptr = np.searchsorted(xrow, np.arange(shape[0] + 1))
-        X = sparse.csr_matrix((x, cols % n, indptr), shape)
-        Y = X @ KT
-        A = abs(X) @ KabsT
-        np.abs(Y, out=Y)
-        sq = ((Y * Y).sum(axis=1).reshape(-1, ncomp) * weights).sum(axis=1)
-        A *= 2 * c * Y + (c * c + 3 * c_o) * A
+        Y = sparse.csr_matrix((x, mono, indptr), shape) @ KT
+        y2 = (Y * Y).sum(axis=1)
+        t = np.bincount(xrow, np.abs(x) * mu[mono], shape[0]) * up
+        bound = t * (2 * c * np.sqrt(y2) * up + (c * c + 3 * c_o) * t)
+        sq = (y2.reshape(-1, ncomp) * weights).sum(axis=1)
         s.append(sq)
-        e.append((A.sum(axis=1).reshape(-1, ncomp) * weights).sum(axis=1) + rel * sq)
-    s, e = np.concatenate(s), np.concatenate(e)
+        e.append(
+            (bound.reshape(-1, ncomp) * weights).sum(axis=1) * (1 + 16 * u) + rel * sq
+        )
+    return np.concatenate(s), np.concatenate(e)
+
+
+def _norm_exponents(kind, nums, dens, nvar):
+    """k_i = round(log2 ||f_i||) for the fields f_i = nums[i] / dens[i], with
+    `nums` a canonical CSR matrix: the exponents
+    `round(log2(_l2_norms(...)))` would give on the dense rows, bit for bit.
+
+    `_norm_bounds` gives the float64 squared norm s_i and a bound e_i on
+    its distance from the extended-precision value of `_l2_norms`.  The
+    cell boundaries of k lie at s = 2^(2k +- 1), so row i is decided when
+    [s_i - e_i, s_i + e_i] holds no power of two with an odd exponent; the
+    other rows (an exact tie among them) go through `_l2_norms`.
+    """
+    s, e = _norm_bounds(kind, nums, dens, nvar)
     # s in [2^(E-1), 2^E), E the frexp exponent, lies in the cell k = E >> 1
     lo, hi = np.frexp(s - e)[1] >> 1, np.frexp(s + e)[1] >> 1
     ks = hi.astype(np.int64)
@@ -752,29 +777,53 @@ class ExactOperator:
         return out
 
 
-def _exact_operator(nrows, columns, ks):
-    """The ExactOperator whose column j is the sum of q 2^ks[r] at row r
-    over the terms (r, q) of columns[j], q rational and r ascending; each
-    column in lowest terms, every entry below 2^62."""
-    rows, vals, dens, indptr = [], [], [], [0]
-    for terms in columns:
+def _exact_operator(nrows, ks, units, columns):
+    """The ExactOperator with len(units) columns, each in lowest terms and
+    every entry below 2^62.
+
+    Column j is the unit column 2^ks[r] at row r = units[j] when r >= 0,
+    built from arrays: 2^k in the numerator for k >= 0, 2^-k in the
+    denominator for k < 0, so it exceeds 62 bits exactly when |k| >= 62.
+    Otherwise column j is the sum of q 2^ks[r] at row r over the terms
+    (r, q) of columns[j], q rational and r ascending, put over the lcm of
+    its denominators; a column in neither is zero.
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    units = np.asarray(units, dtype=np.int64)
+    unit = np.flatnonzero(units >= 0)
+    k = ks[units[unit]]
+    if np.any(np.abs(k) >= 62):
+        raise AssemblyError("operator entries exceed 62 bits")
+    counts = (units >= 0).astype(np.int64)
+    for j, terms in columns.items():
+        counts[j] = len(terms)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    rows = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1], dtype=np.int64)
+    dens = np.ones(len(units), dtype=np.int64)
+    rows[indptr[unit]] = units[unit]
+    data[indptr[unit]] = 1 << np.maximum(k, 0)
+    dens[unit] = 1 << np.maximum(-k, 0)
+    shifts = ks.tolist()
+    for j, terms in columns.items():
         fracs = [
-            (int(q.numerator) << max(ks[r], 0), int(q.denominator) << max(-ks[r], 0))
+            (
+                int(q.numerator) << max(shifts[r], 0),
+                int(q.denominator) << max(-shifts[r], 0),
+            )
             for r, q in terms
         ]
         den = math.lcm(*(d for _, d in fracs))
         nums = [n * (den // d) for n, d in fracs]
         g = math.gcd(den, *nums)
-        rows += [r for r, _ in terms]
-        vals += [n // g for n in nums]
-        dens.append(den // g)
-        indptr.append(len(rows))
-    if max(map(abs, vals + dens), default=0) >= _COORD_LIMIT:
-        raise AssemblyError("operator entries exceed 62 bits")
-    nums = sparse.csc_matrix(
-        (np.array(vals, dtype=np.int64), rows, indptr), shape=(nrows, len(columns))
-    )
-    return ExactOperator(nums, np.array(dens, dtype=np.int64))
+        vals = [n // g for n in nums]
+        if max([den // g, *map(abs, vals)]) >= _COORD_LIMIT:
+            raise AssemblyError("operator entries exceed 62 bits")
+        rows[indptr[j] : indptr[j + 1]] = [r for r, _ in terms]
+        data[indptr[j] : indptr[j + 1]] = vals
+        dens[j] = den // g
+    nums = sparse.csc_matrix((data, rows, indptr), shape=(nrows, len(units)))
+    return ExactOperator(nums, dens)
 
 
 # ---------------------------------------------------------------------------
@@ -901,15 +950,17 @@ def _assemble_level(prev_level, op_name, generators, nvar):
         [provenance[i] for i in kept],
         nvar,
     )
-    # candidate row kept[pos] is 2^ks[pos] times basis field pos
-    position = {idx: pos for pos, idx in enumerate(kept)}
-    cols = [[] for _ in range(prev_level.dim)]
-    for slot, i in enumerate(nonzero):
-        if slot in position:
-            cols[i] = [(position[slot], 1)]
-        else:
-            cols[i] = [(position[k], c) for k, c in expansions[slot].items()]
-    operator = _exact_operator(level.dim, cols, ks.tolist())
+    # candidate row kept[pos] is 2^ks[pos] times basis field pos: a kept
+    # image's column is the unit column at pos
+    position = np.full(len(provenance), -1)
+    position[kept] = np.arange(len(kept))
+    units = np.full(prev_level.dim, -1)
+    units[nonzero] = position[: len(nonzero)]
+    columns = {
+        nonzero[slot]: [(int(position[k]), c) for k, c in coeffs.items()]
+        for slot, coeffs in expansions.items()
+    }
+    operator = _exact_operator(level.dim, ks, units, columns)
     stats = {
         "operator": op_name,
         "zero_images": prev_level.dim - len(nonzero),
@@ -1243,11 +1294,12 @@ def _adjoin_potentials(ec, extras):
         raise AssemblyError("potential image outside the span of the V1 generators")
     added_a0 = _exact_operator(
         level1.dim,
-        [
-            [(gen[k], q) for k, q in expansions[len(gen) + e].items()]
+        np.zeros(level1.dim, dtype=np.int64),
+        np.full(len(extras), -1),
+        {
+            e: [(gen[k], q) for k, q in expansions[len(gen) + e].items()]
             for e in range(len(extras))
-        ],
-        [0] * level1.dim,
+        },
     )
     if len(_select_exact(added_a0.nums.T, added_a0.dens, None)[0]) < len(extras):
         raise AssemblyError("adjoined potentials with dependent images")

@@ -293,7 +293,7 @@ _FIXTURE_LEAVES = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-3, 3),
-    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.floats(width=32),
     st.text(max_size=2),
 )
 _FIXTURE_JSON = st.recursive(
@@ -465,7 +465,7 @@ _JSON_VALUES = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-10, 10),
-    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(),
     st.text(max_size=4),
     st.lists(st.integers(0, 3), max_size=3),
     st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),

@@ -530,6 +530,119 @@ def test_norm_exponents_match_extended_precision_on_sparse_rows(case):
     assert ks.tolist() == _oracle_exponents(kind, nums, dens, nvar)
 
 
+def test_kron_frame_is_nonnegative_with_monomial_norms():
+    # the norm bound takes |K| = K and the column norms of K from mu
+    for nvar in range(1, 11):
+        assert (ea._legendre_frame(nvar) >= 0).all()
+        KT, mu = ea._kron_frame(nvar)
+        assert (KT >= 0).all()
+        a, b, c = np.unravel_index(np.arange(nvar**3), (nvar,) * 3)
+        exact = 1 / np.sqrt((2 * a + 1) * (2 * b + 1) * (2 * c + 1.0))
+        assert np.allclose(mu, exact, rtol=1e-15, atol=0)
+        assert np.allclose(np.sqrt((KT * KT).sum(axis=1)), mu, rtol=1e-14, atol=0)
+
+
+def _shifted_legendre(k):
+    """Integer coefficients of the Legendre polynomial of degree k shifted
+    to [0, 1]."""
+    return [
+        (-1) ** (k + j) * math.comb(k, j) * math.comb(k + j, j) for j in range(k + 1)
+    ]
+
+
+def _centred_power(k):
+    """Integer coefficients of (2x - 1)^k = 2^k (x - 1/2)^k."""
+    return [math.comb(k, j) * 2**j * (-1) ** (k - j) for j in range(k + 1)]
+
+
+@st.composite
+def _ill_conditioned_rows(draw):
+    """Integer rows for `_norm_bounds` whose components are expanded
+    products of one factor per axis, (x - 1/2)^k or a shifted Legendre
+    polynomial, times up to 2^16, over random denominators: large monomial
+    coefficients that cancel to a small L2 norm, by a factor of up to about
+    10^14 at nvar 8.  Some components are zero."""
+    kind = draw(st.sampled_from(["scalar", "vector", "symmetric-tensor"]))
+    nvar = draw(st.integers(1, 8))
+    n = nvar**3
+    ncomp = ea._KIND_COMPONENTS[kind]
+    nrows = draw(st.integers(1, 6))
+    factor = st.sampled_from([_centred_power, _shifted_legendre])
+    degree = st.integers(0, nvar - 1)
+    nums = np.zeros((nrows, ncomp * n), dtype=np.int64)
+    for i in range(nrows):
+        for comp in range(ncomp):
+            if draw(st.integers(0, 3)) == 0:
+                continue
+            fx, fy, fz = (np.array(draw(factor)(draw(degree))) for _ in range(3))
+            block = np.zeros((nvar,) * 3, dtype=np.int64)
+            block[: len(fx), : len(fy), : len(fz)] = np.einsum("a,b,c->abc", fx, fy, fz)
+            nums[i, comp * n : (comp + 1) * n] = block.ravel() * draw(
+                st.integers(-(2**16), 2**16)
+            )
+    dens = np.array(
+        draw(st.lists(st.integers(1, 2**62 - 1), min_size=nrows, max_size=nrows)),
+        dtype=np.int64,
+    )
+    return kind, nums, dens, nvar
+
+
+def _entrywise_bound(kind, nums, dens, nvar):
+    """The error bound of `_norm_bounds` before Cauchy-Schwarz and the
+    monomial norms: sum w a (2 c |y| + (c^2 + 3 c_o) a) + (2 m + 4096) u s
+    over the frame coordinates, with y = K x and a = |K| |x| formed as
+    dense products."""
+    ncomp, n = ea._KIND_COMPONENTS[kind], nvar**3
+    u, v = 2.0**-53, float(np.finfo(np.longdouble).eps) / 2
+    c = 2 * ((n + 4) * u + 14 * v)
+    c_o = 2 * (3 * nvar + 20) * v
+    KT, _ = ea._kron_frame(nvar)
+    X = (nums / dens[:, None]).reshape(-1, n)
+    Y, A = X @ KT, np.abs(X) @ np.abs(KT)
+    w = np.array(ea._KIND_WEIGHTS[kind], dtype=np.float64)
+    s = ((Y * Y).sum(axis=1).reshape(-1, ncomp) * w).sum(axis=1)
+    bound = (A * (2 * c * np.abs(Y) + (c * c + 3 * c_o) * A)).sum(axis=1)
+    return (bound.reshape(-1, ncomp) * w).sum(axis=1) + (2 * ncomp * n + 4096) * u * s
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_rows() | _ill_conditioned_rows())
+def test_norm_bounds_hold_the_extended_precision_norms(case):
+    kind, nums, dens, nvar = case
+    s, e = ea._norm_bounds(kind, sparse.csr_matrix(nums), dens, nvar)
+    norms = ea._l2_norms(kind, nums, dens, nvar)
+    assert len(s) == len(e) == len(norms)
+    for si, ei, norm in zip(s.tolist(), e.tolist(), norms.tolist()):
+        square = Fraction(norm) ** 2
+        assert Fraction(si) - Fraction(ei) <= square <= Fraction(si) + Fraction(ei)
+    # the observed errors stay far below any of the bound's terms, so the
+    # bound must also cover the entrywise worst case it was derived from
+    assert np.all(e >= _entrywise_bound(kind, nums, dens, nvar))
+
+
+# rows of one cold assembly that `_norm_exponents` handed to `_l2_norms`
+# when it formed |K| |x| in a second frame product, per selection in
+# BOUNDARY_CONFIGS order; the bound through the monomial norms may be
+# looser, but by at most 10 % more fallback rows
+_FALLBACK_ROWS = {4: (12, 3, 0, 0), 5: (54, 32, 35, 15)}
+
+
+@pytest.mark.parametrize("p", sorted(_FALLBACK_ROWS))
+def test_norm_fallback_rows_stay_within_ten_percent(monkeypatch, p):
+    real = ea._l2_norms
+    rows = []
+
+    def spy(kind, nums, dens, nvar):
+        rows.append(len(nums))
+        return real(kind, nums, dens, nvar)
+
+    monkeypatch.setattr(ea, "_l2_norms", spy)
+    for gt, before in zip(BOUNDARY_CONFIGS, _FALLBACK_ROWS[p]):
+        rows.clear()
+        ea.build_complex(p, gt, use_cache=False)
+        assert sum(rows) <= -(-11 * before // 10), gt
+
+
 # --- assembled complexes ------------------------------------------------------
 
 
@@ -810,7 +923,9 @@ def test_image_product_guard_is_an_assembly_error():
 def _operator(nrows, columns):
     """ExactOperator from columns given as {row: Fraction}."""
     terms = [[(r, q) for r, q in sorted(col.items()) if q] for col in columns]
-    return ea._exact_operator(nrows, terms, [0] * nrows)
+    return ea._exact_operator(
+        nrows, [0] * nrows, [-1] * len(columns), dict(enumerate(terms))
+    )
 
 
 def _compose(second, first):
@@ -827,18 +942,26 @@ def _compose(second, first):
 
 @st.composite
 def _wide_terms(draw):
-    """(nrows, columns of terms (row, q), row exponents ks): every q of a
-    column a multiple of 1 / D, D and |numerator| up to 2^55, |ks| <= 3, so
-    the terms q 2^ks[row] are not over one denominator in general."""
+    """(nrows, columns, row exponents ks), each column the row of a unit
+    column or a list of terms (row, q).  A row's exponent is drawn from
+    [-3, 3] or from [-61, 61], the exponents a unit column holds in 62
+    bits; a unit column takes any row.  Terms sit on rows with |ks| <= 3,
+    every q of a column a multiple of 1 / D, D and |numerator| up to 2^55,
+    so the terms q 2^ks[row] are not over one denominator in general."""
     nrows = draw(st.integers(0, 5))
     # beyond 2^53 an int64 does not convert to float64 exactly
     size = st.integers(1, 5) | st.integers(2**53, 2**55) | st.integers(1, 2**55)
     nonzero = st.builds(lambda n, s: n * s, size, st.sampled_from((1, -1)))
-    ks = draw(st.lists(st.integers(-3, 3), min_size=nrows, max_size=nrows))
+    exponent = st.integers(-3, 3) | st.integers(-61, 61)
+    ks = draw(st.lists(exponent, min_size=nrows, max_size=nrows))
+    small = [r for r in range(nrows) if abs(ks[r]) <= 3]
     columns = []
     for _ in range(draw(st.integers(0, 5))):
+        if nrows and draw(st.booleans()):
+            columns.append(draw(st.integers(0, nrows - 1)))
+            continue
         den = draw(size)
-        rows = sorted(draw(st.sets(st.integers(0, nrows - 1)))) if nrows else []
+        rows = sorted(draw(st.sets(st.sampled_from(small)))) if small else []
         columns.append([(r, Fraction(draw(nonzero), den)) for r in rows])
     return nrows, columns, ks
 
@@ -847,12 +970,18 @@ def _wide_terms(draw):
 @given(_wide_terms())
 def test_exact_operator_columns_and_floats_match_fractions(case):
     nrows, columns, ks = case
-    op = ea._exact_operator(nrows, columns, ks)
+    units = [c if isinstance(c, int) else -1 for c in columns]
+    terms = {j: c for j, c in enumerate(columns) if not isinstance(c, int)}
+    op = ea._exact_operator(nrows, ks, units, terms)
     assert (op.nrows, op.ncols) == (nrows, len(columns))
     assert op.nums.format == "csc" and op.nums.dtype == op.dens.dtype == np.int64
     ref = np.zeros((nrows, len(columns)))
-    for j, terms in enumerate(columns):
-        col = {r: q * Fraction(2) ** ks[r] for r, q in terms}
+    for j, c in enumerate(columns):
+        col = (
+            {c: Fraction(2) ** ks[c]}
+            if isinstance(c, int)
+            else {r: q * Fraction(2) ** ks[r] for r, q in c}
+        )
         assert op.column(j) == col
         # lowest terms over one denominator
         lo, hi = op.nums.indptr[j : j + 2]
@@ -928,7 +1057,16 @@ def test_exact_operator_entries_beyond_62_bits_are_an_assembly_error():
     with pytest.raises(ea.AssemblyError, match="exceed 62 bits"):
         _operator(1, [{0: Fraction(2**62)}])
     with pytest.raises(ea.AssemblyError, match="exceed 62 bits"):
-        ea._exact_operator(1, [[(0, Fraction(2**59))]], [3])
+        ea._exact_operator(1, [3], [-1], {0: [(0, Fraction(2**59))]})
+    # a unit column 2^k holds 2^|k| in its numerator or denominator
+    for k in (62, -62):
+        with pytest.raises(ea.AssemblyError, match="exceed 62 bits"):
+            ea._exact_operator(2, [0, k], [0, 1], {})
+        with pytest.raises(ea.AssemblyError, match="exceed 62 bits"):
+            ea._exact_operator(2, [0, k], [1, -1], {1: [(0, Fraction(1))]})
+    for k in (61, -61):
+        op = ea._exact_operator(2, [0, k], [1, -1], {1: [(0, Fraction(1))]})
+        assert [op.column(j) for j in range(2)] == [{1: Fraction(2) ** k}, {0: 1}]
     # the lcm of the denominators of one column
     with pytest.raises(ea.AssemblyError, match="exceed 62 bits"):
         _operator(2, [{0: Fraction(1, 2**31 + 11), 1: Fraction(1, 2**31 + 1)}])
