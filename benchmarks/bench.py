@@ -20,6 +20,10 @@ back to the extended-precision `_l2_norms`, the number of
 `_assemble_level` calls, the stored entries of each level's rows
 (`level_nnz`; the nonzeros, for a tree whose levels hold dense rows), and
 the dims, ranks, kernel dims, harmonic dims and `meta` of the complex.
+After the build the child times `ec.float_grams()`, the L2 Grams of the
+four levels (`float_grams_s`, the float stage's conversion of exact
+rows), and records its peak resident set size over the build and the
+Grams (`peak_rss_mb`, from `ru_maxrss`).
 
 With --verbs each run is one CLI call in a new interpreter instead, with
 the argument lists of the `toolbox` workload of perfbench (seed
@@ -50,7 +54,15 @@ from pathlib import Path
 
 SELECTIONS = ("none", "X0", "X0,X1", "all")
 RESULT_KEYS = ("dims", "ranks", "kernel_dims", "harmonic_dims", "meta", "level_nnz")
-TIMINGS = ("wall_s", "cpu_s", "select_rows_s", "normalize_s", "images_s")
+MEASURES = (
+    "wall_s",
+    "cpu_s",
+    "select_rows_s",
+    "normalize_s",
+    "images_s",
+    "float_grams_s",
+    "peak_rss_mb",
+)
 BLAS_THREADS = str(min(2, len(os.sched_getaffinity(0))))
 ROOT = Path(__file__).resolve().parent.parent
 TOOLBOX_SEED = 1
@@ -71,7 +83,7 @@ facts = {
 
 # run in the child: time one cold assembly and the selections inside it
 CHILD = FACTS + r"""
-import sys, time
+import resource, sys, time
 from elacomplex import elasticity_assembly as ea, exactlin
 
 p, gt = int(sys.argv[1]), sys.argv[2]
@@ -95,10 +107,13 @@ if hasattr(exactlin, "_structural_pivots"):
 wrap(ea, "_assemble_level", lambda t, args, result: levels.append(args[1]))
 wrap(ea, "_normalized_level", lambda t, args, result: normalize.append(t))
 wrap(ea, "_images", lambda t, args, result: images.append(t))
-wrap(ea, "_l2_norms", lambda t, args, result: fallback.append(len(args[1])))
+wrap(ea, "_l2_norms", lambda t, args, result: fallback.append(args[1].shape[0]))
 start, cpu = time.perf_counter(), time.process_time()
 ec = ea.build_complex(p, gt, use_cache=False)
 wall, cpu = time.perf_counter() - start, time.process_time() - cpu
+start = time.perf_counter()
+ec.float_grams()
+float_grams = time.perf_counter() - start
 print(json.dumps({
     "wall_s": wall,
     "cpu_s": cpu,
@@ -115,6 +130,8 @@ print(json.dumps({
     "normalize_s": sum(normalize),
     "images_s": sum(images),
     "norm_fallback_rows": sum(fallback),
+    "float_grams_s": float_grams,
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     "dims": list(ec.dims),
     "ranks": list(ec.ranks),
     "kernel_dims": list(ec.kernel_dims),
@@ -283,8 +300,8 @@ def main(argv=None):
                     runs.append(rec)
                     print(
                         "%-8s p=%d %-6s wall %6.2f s  cpu %6.2f s  select_rows %6.2f s"
-                        "  normalize %5.2f s  images %5.2f s  levels %d  primes %s"
-                        "  structural %s"
+                        "  normalize %5.2f s  images %5.2f s  grams %5.2f s"
+                        "  rss %4.0f MiB  levels %d  primes %s  structural %s"
                         % (
                             label,
                             p,
@@ -294,6 +311,8 @@ def main(argv=None):
                             rec["select_rows_s"],
                             rec["normalize_s"],
                             rec["images_s"],
+                            rec["float_grams_s"],
+                            rec["peak_rss_mb"],
                             rec["levels_assembled"],
                             rec["primes_used"],
                             rec["structural_rows"],
@@ -307,7 +326,7 @@ def main(argv=None):
                 mine = [r for r in runs if (r["tree"], r["p"], r["gt"]) == (label, p, gt)]
                 summary.setdefault(label, {})["%d %s" % (p, gt)] = {
                     key: spread(r[key] for r in mine)
-                    for key in TIMINGS
+                    for key in MEASURES
                 }
     agree = {
         "%d %s" % (p, gt): len(

@@ -21,10 +21,11 @@ per row; a grid operator (derived once per grid size from `poly_calculus`)
 is one CSR matrix over one denominator, so a level's images are one
 guarded sparse product; a chain operator (`ExactOperator`) is a CSC
 matrix, one denominator per column.  Images, normalisation and the row
-selection touch only stored entries; rows are made dense only for the
-float stage (Grams, norms that need extended precision, the Korn
-quotient), the small face-trace solve and, inside
-`exactlin.select_rows`, the core of a selection.  Exact rational
+selection touch only stored entries.  Rows are made dense only by
+`_frame_rows`, the float stage's one reader of exact rows (Grams, norms
+that need extended precision, the Korn quotient), `_NORM_BLOCK` rows at
+a time; by the small face-trace solve; and, inside
+`exactlin.select_rows`, for the core of a selection.  Exact rational
 coordinates and polynomial fields are built from these on first use.
 
 Linear independence is decided by `exactlin.select_rows`, which certifies
@@ -559,53 +560,56 @@ def _orthoframe_rows(X, ncomp, nvar, weights):
     polynomials with the component weights folded in, so the L2 Gram of the
     fields is B @ B.T for the returned B.  Entries of B are bounded by the
     field norms, hence that product carries no cancellation beyond ordinary
-    rounding; the change of frame itself runs in extended precision.
+    rounding; the change of frame itself runs in extended precision.  Row
+    i of B depends on row i of X alone.
     """
-    K = X.shape[0]
-    if K == 0:
-        return np.zeros((0, ncomp * nvar**3))
     W = _legendre_frame(nvar)
-    Z = X.reshape(K, ncomp, nvar, nvar, nvar)
+    Z = X.reshape(X.shape[0], ncomp, nvar, nvar, nvar)
     for axis in (2, 3, 4):
         Z = np.moveaxis(np.tensordot(Z, W, axes=([axis], [1])), -1, axis)
     w = np.sqrt(np.asarray(weights, dtype=np.longdouble))
     Z = Z * w[None, :, None, None, None]
-    return Z.reshape(K, -1).astype(np.float64)
-
-
-def _longdouble_rows(nums, dens):
-    """The rows nums[i] / dens[i] in longdouble, each entry the correctly
-    rounded quotient of its integer numerator and denominator."""
-    X = nums.astype(np.longdouble)
-    X /= dens.astype(np.longdouble)[:, None]
-    return X
-
-
-def _float_gram(X, ncomp, nvar, weights):
-    """L2 Gram of the fields whose monomial-grid coordinates are the rows of
-    the longdouble matrix X."""
-    B = _orthoframe_rows(X, ncomp, nvar, weights)
-    G = B @ B.T
-    return 0.5 * (G + G.T)
+    return Z.reshape(X.shape[0], ncomp * nvar**3).astype(np.float64)
 
 
 _NORM_BLOCK = 64
 
 
-def _l2_norms(kind, nums, dens, nvar):
-    """L2 norms of the fields nums[i] / dens[i].
+def _frame_rows(kind, nums, dens, nvar):
+    """Frame coordinates B (float64, one row per field) of the fields
+    nums[i] / dens[i] on the nvar grid, `nums` a CSR matrix: the one way
+    the float stage reads exact rows.
 
-    Each coordinate is the correctly rounded quotient of its exact integer
-    numerator and denominator in extended precision.  Rows go through the
-    frame change in blocks, which bounds its extended-precision memory.
-    This is the fallback and the oracle of `_norm_exponents`.
+    `_NORM_BLOCK` rows at a time are made dense in extended precision,
+    each entry the correctly rounded quotient of its integer numerator and
+    denominator, and go through `_orthoframe_rows`.  That transform is per
+    row, so B is bit for bit the B of the whole matrix made dense at once,
+    while the extended-precision memory stays that of one block.
     """
-    norms = []
-    for i in range(0, max(len(nums), 1), _NORM_BLOCK):
-        X = _longdouble_rows(nums[i : i + _NORM_BLOCK], dens[i : i + _NORM_BLOCK])
-        B = _orthoframe_rows(X, _KIND_COMPONENTS[kind], nvar, _KIND_WEIGHTS[kind])
-        norms.append(np.linalg.norm(B, axis=1))
-    return np.concatenate(norms)
+    ncomp, weights = _KIND_COMPONENTS[kind], _KIND_WEIGHTS[kind]
+    B = np.empty((nums.shape[0], ncomp * nvar**3))
+    for i in range(0, nums.shape[0], _NORM_BLOCK):
+        block = slice(i, i + _NORM_BLOCK)
+        X = nums[block].toarray().astype(np.longdouble)
+        X /= dens[block].astype(np.longdouble)[:, None]
+        B[block] = _orthoframe_rows(X, ncomp, nvar, weights)
+    return B
+
+
+def _float_gram(B):
+    """L2 Gram of the fields whose frame coordinates are the rows of B
+    (`_frame_rows`): one product B @ B.T, symmetrised."""
+    G = B @ B.T
+    return 0.5 * (G + G.T)
+
+
+def _l2_norms(kind, nums, dens, nvar):
+    """L2 norms of the fields nums[i] / dens[i], `nums` a CSR matrix: the
+    norms of the rows of `_frame_rows`, so each is that of the field's
+    extended-precision frame change alone.  This is the fallback and the
+    oracle of `_norm_exponents`.
+    """
+    return np.linalg.norm(_frame_rows(kind, nums, dens, nvar), axis=1)
 
 
 @cache
@@ -712,7 +716,7 @@ def _norm_exponents(kind, nums, dens, nvar):
     ks = hi.astype(np.int64)
     fallback = np.flatnonzero(~(s - e > 0) | (lo != hi))
     if fallback.size:
-        norms = _l2_norms(kind, nums[fallback].toarray(), dens[fallback], nvar)
+        norms = _l2_norms(kind, nums[fallback], dens[fallback], nvar)
         ks[fallback] = [int(round(math.log2(x))) if x > 0 else 0 for x in norms]
     return ks
 
@@ -839,9 +843,9 @@ class ComplexLevel:
     a read-only int64 CSR matrix in canonical form (sorted indices, no
     duplicate, no stored zero) and `dens` a read-only int64 array, each row
     in least-denominator form.  The rows stay sparse through the exact
-    stage; `ElasticityComplex.float_grams` makes them dense.  Exact
-    rational coordinates and polynomial fields are built from a row on
-    first use.
+    stage; `_frame_rows` makes them dense a block at a time for the float
+    stage.  Exact rational coordinates and polynomial fields are built from
+    a row on first use.
     """
 
     kind: str
@@ -1174,16 +1178,13 @@ class ElasticityComplex:
         ].compose_is_zero(self.ops[1])
 
     def float_grams(self):
-        """L2 Grams of the four levels as float matrices (cached)."""
+        """L2 Grams of the four levels as float matrices (cached): per level
+        one `_float_gram` of its `_frame_rows`, so no level is ever dense in
+        extended precision as a whole."""
         grams = self._float.get("grams")
         if grams is None:
             grams = tuple(
-                _float_gram(
-                    _longdouble_rows(level.nums.toarray(), level.dens),
-                    _KIND_COMPONENTS[level.kind],
-                    level.nvar,
-                    _KIND_WEIGHTS[level.kind],
-                )
+                _float_gram(_frame_rows(level.kind, level.nums, level.dens, level.nvar))
                 for level in self.levels
             )
             self._float["grams"] = grams
@@ -1511,8 +1512,7 @@ def korn_constant(p, gt="none"):
 
     def gram(name, kind):
         nums, dens = _images(rows, ones, name, "vector", nvar, nvar)
-        X = _longdouble_rows(nums.toarray(), dens)
-        return _float_gram(X, _KIND_COMPONENTS[kind], nvar, _KIND_WEIGHTS[kind])
+        return _float_gram(_frame_rows(kind, nums, dens, nvar))
 
     K, M = gram("Grad", "matrix"), gram("sym_grad", "symmetric-tensor")
     restricted = not bc.faces

@@ -2,10 +2,11 @@
 
 Its child process wraps `exactlin.select_rows` (reading the third result,
 the primes used), `exactlin._structural_pivots`, `_assemble_level`,
-`_normalized_level`, `_images` and `_l2_norms` by name, and reads the
-stored entries of each level's rows.  A rename there breaks no other test but empties or
-breaks the benchmark's counters, so one cold p=4 run of the child runs
-here.
+`_normalized_level`, `_images` and `_l2_norms` by name (reading the
+row count of the CSR rows `_l2_norms` gets), reads the stored entries of
+each level's rows, and times `float_grams` after the build.  A rename
+there breaks no other test but empties or breaks the benchmark's
+counters, so cold p=4 runs of the child run here.
 """
 
 import importlib.util
@@ -39,7 +40,15 @@ def test_child_records_every_counter():
     assert 0 < rec["select_rows_s"] < rec["wall_s"]
     assert 0 < rec["normalize_s"] < rec["wall_s"]
     assert 0 < rec["images_s"] < rec["wall_s"]
+    assert rec["float_grams_s"] > 0
+    # the interpreter, numpy and scipy alone take more than 10 MiB
+    assert 10 < rec["peak_rss_mb"] < 4096
     assert rec["dims"] and rec["ranks"]
+
+
+def test_child_counts_norm_fallback_rows():
+    # at p=4 `X0` a few rows reach `_l2_norms`, as one CSR matrix
+    assert _load_bench().run_one(ROOT / "src", 4, "X0")["norm_fallback_rows"] > 0
 
 
 def test_spread_is_min_median_max():

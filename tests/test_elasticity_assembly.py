@@ -418,9 +418,66 @@ def test_float_gram_matches_exact_integrals():
     space = ea.build_space("vector", 2, "X0", 1)
     coords = [_exact_coords(f, "vector", 3) for f in space.fields]
     X = _longdouble_coords(coords, 3 * 3**3)
-    G = ea._float_gram(X, 3, 3, ea._KIND_WEIGHTS["vector"])
+    G = ea._float_gram(ea._orthoframe_rows(X, 3, 3, ea._KIND_WEIGHTS["vector"]))
     exact = np.diag([float(q) for q in space.gram_diag])
     assert np.max(np.abs(G - exact)) < 1e-14
+
+
+def _dense_frame_rows(kind, nums, dens, nvar):
+    """One-shot reference for `_frame_rows`: the whole CSR matrix made
+    dense, then longdouble quotients, then one `_orthoframe_rows`."""
+    X = nums.toarray().astype(np.longdouble)
+    X /= dens.astype(np.longdouble)[:, None]
+    ncomp = ea._KIND_COMPONENTS[kind]
+    return ea._orthoframe_rows(X, ncomp, nvar, ea._KIND_WEIGHTS[kind])
+
+
+def _assert_frame_path_is_one_shot(kind, nums, dens, nvar, gram=None):
+    """`_frame_rows`, `_l2_norms` and `_float_gram` (or the given Gram)
+    equal, bit for bit, the one-shot dense reference."""
+    B = _dense_frame_rows(kind, nums, dens, nvar)
+    frame = ea._frame_rows(kind, nums, dens, nvar)
+    assert np.array_equal(frame, B)
+    assert np.array_equal(
+        ea._l2_norms(kind, nums, dens, nvar), np.linalg.norm(B, axis=1)
+    )
+    if gram is None:
+        gram = ea._float_gram(frame)
+    G = B @ B.T
+    assert np.array_equal(gram, 0.5 * (G + G.T))
+
+
+@pytest.mark.parametrize("kind", sorted(ea._KIND_COMPONENTS))
+@pytest.mark.parametrize("nrows", [0, 1, 63, 64, 65, 129])
+def test_frame_rows_match_one_shot_dense_rows_at_block_edges(kind, nrows):
+    assert ea._NORM_BLOCK == 64
+    nvar = 3
+    width = ea._KIND_COMPONENTS[kind] * nvar**3
+    rng = np.random.default_rng(nrows)
+    # up to 62 bits, so a float64 quotient would round differently
+    nums = rng.integers(-(2**62), 2**62, size=(nrows, width))
+    nums[rng.random((nrows, width)) < 0.7] = 0
+    dens = rng.integers(1, 2**62, size=nrows)
+    _assert_frame_path_is_one_shot(kind, sparse.csr_matrix(nums), dens, nvar)
+
+
+def test_float_grams_and_korn_grams_match_one_shot_dense_rows(monkeypatch):
+    ec = ea.build_complex(4, "all")
+    for level, G in zip(ec.levels, ec.float_grams()):
+        _assert_frame_path_is_one_shot(
+            level.kind, level.nums, level.dens, level.nvar, G
+        )
+    seen = []
+    real = ea._float_gram
+    monkeypatch.setattr(ea, "_float_gram", lambda B: seen.append(real(B)) or seen[-1])
+    ea.korn_constant(4, "none")
+    nvar = 5
+    rows = ea._space_rows(ea.build_space("vector", 4, "none", 1), nvar)
+    ones = np.ones(rows.shape[0], dtype=np.int64)
+    assert len(seen) == 2
+    for G, name in zip(seen, ("Grad", "sym_grad")):
+        nums, dens = ea._images(rows, ones, name, "vector", nvar, nvar)
+        _assert_frame_path_is_one_shot(ea._OPERATORS[name], nums, dens, nvar, G)
 
 
 # --- norm exponents -------------------------------------------------------------
@@ -428,7 +485,7 @@ def test_float_gram_matches_exact_integrals():
 
 def _oracle_exponents(kind, nums, dens, nvar):
     """round(log2 ||f||) from the extended-precision norms of the CSR rows."""
-    norms = ea._l2_norms(kind, nums.toarray(), dens, nvar)
+    norms = ea._l2_norms(kind, nums, dens, nvar)
     return [int(round(math.log2(x))) if x > 0 else 0 for x in norms]
 
 
@@ -486,7 +543,7 @@ def test_norm_exponent_ties_take_the_fallback(monkeypatch):
     fallback = []
 
     def spy(kind, nums, dens, nvar):
-        fallback.extend(map(tuple, nums.tolist()))
+        fallback.extend(map(tuple, nums.toarray().tolist()))
         return real(kind, nums, dens, nvar)
 
     monkeypatch.setattr(ea, "_l2_norms", spy)
@@ -609,8 +666,9 @@ def _entrywise_bound(kind, nums, dens, nvar):
 @given(_sparse_rows() | _ill_conditioned_rows())
 def test_norm_bounds_hold_the_extended_precision_norms(case):
     kind, nums, dens, nvar = case
-    s, e = ea._norm_bounds(kind, sparse.csr_matrix(nums), dens, nvar)
-    norms = ea._l2_norms(kind, nums, dens, nvar)
+    rows = sparse.csr_matrix(nums)
+    s, e = ea._norm_bounds(kind, rows, dens, nvar)
+    norms = ea._l2_norms(kind, rows, dens, nvar)
     assert len(s) == len(e) == len(norms)
     for si, ei, norm in zip(s.tolist(), e.tolist(), norms.tolist()):
         square = Fraction(norm) ** 2
@@ -633,7 +691,7 @@ def test_norm_fallback_rows_stay_within_ten_percent(monkeypatch, p):
     rows = []
 
     def spy(kind, nums, dens, nvar):
-        rows.append(len(nums))
+        rows.append(nums.shape[0])
         return real(kind, nums, dens, nvar)
 
     monkeypatch.setattr(ea, "_l2_norms", spy)
@@ -754,7 +812,8 @@ def test_levels_hold_integer_rows_and_build_fields_lazily():
     for level, G in zip(ec.levels, grams):
         X = _longdouble_coords(level.coords, level.nums.shape[1])
         ncomp = ea._KIND_COMPONENTS[level.kind]
-        ref = ea._float_gram(X, ncomp, level.nvar, ea._KIND_WEIGHTS[level.kind])
+        B = ea._orthoframe_rows(X, ncomp, level.nvar, ea._KIND_WEIGHTS[level.kind])
+        ref = ea._float_gram(B)
         assert np.array_equal(G, ref)
         for i in (0, level.dim - 1):
             assert (level.field(i) - level.fields[i]).is_zero()
@@ -1159,7 +1218,8 @@ def _korn_field_grams(p, gt):
         X = _longdouble_coords(
             [_exact_coords(S, kind, nvar) for S in tensors], ncomp * nvar**3
         )
-        grams.append(ea._float_gram(X, ncomp, nvar, ea._KIND_WEIGHTS[kind]))
+        B = ea._orthoframe_rows(X, ncomp, nvar, ea._KIND_WEIGHTS[kind])
+        grams.append(ea._float_gram(B))
     return grams
 
 
