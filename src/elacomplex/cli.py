@@ -159,14 +159,13 @@ def _report(cfg, results, tolerances):
 
 
 def _emit(cfg, text):
-    if cfg.out:
-        Path(cfg.out).write_text(text)
-    else:
+    if not cfg.out:
         sys.stdout.write(text)
-
-
-def _emit_json(cfg, report):
-    _emit(cfg, json.dumps(report, sort_keys=True, indent=2) + "\n")
+        return
+    try:
+        Path(cfg.out).write_text(text)
+    except OSError as exc:
+        raise ConfigError("cannot write report: %s" % exc)
 
 
 def _csv_cell(value):
@@ -180,6 +179,17 @@ def _emit_csv(cfg, header, rows):
     for row in rows:
         lines.append(",".join(_csv_cell(v) for v in row))
     _emit(cfg, "\n".join(lines) + "\n")
+
+
+def _emit_report(cfg, results, tolerances, header, rows):
+    """Emit a command's report, as the CSV `rows` under `header` or as the
+    JSON report of `results`; returns EXIT_PASS."""
+    if cfg.format == "csv":
+        _emit_csv(cfg, header, rows)
+    else:
+        report = _report(cfg, results, tolerances)
+        _emit(cfg, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    return EXIT_PASS
 
 
 # ---------------------------------------------------------------------------
@@ -292,28 +302,23 @@ def cmd_complex(cfg):
         "helmholtz_max_pairing": worst_pair,
         "weight_mode": cfg.weights,
     }
-    if cfg.format == "csv":
-        rows = [
-            ("p", results["p"]),
-            ("gt", results["gt"]),
-            ("dims", " ".join(map(str, results["dims"]))),
-            ("kernel_dims", " ".join(map(str, results["kernel_dims"]))),
-            ("cohomology_dim", results["cohomology_dim"]),
-            ("composition_norm_01", comp[0]),
-            ("composition_norm_12", comp[1]),
-            ("c0", results["constants"]["c0"]),
-            ("c1", results["constants"]["c1"]),
-            ("c2", results["constants"]["c2"]),
-            ("korn_constant", results["korn_constant"]),
-            ("helmholtz_max_residual", worst_res),
-            ("helmholtz_max_pairing", worst_pair),
-        ]
-        _emit_csv(cfg, ("key", "value"), rows)
-    else:
-        _emit_json(
-            cfg, _report(cfg, results, {"tol": cfg.tol, "tol_rank": cfg.tol_rank})
-        )
-    return EXIT_PASS
+    rows = [
+        ("p", results["p"]),
+        ("gt", results["gt"]),
+        ("dims", " ".join(map(str, results["dims"]))),
+        ("kernel_dims", " ".join(map(str, results["kernel_dims"]))),
+        ("cohomology_dim", results["cohomology_dim"]),
+        ("composition_norm_01", comp[0]),
+        ("composition_norm_12", comp[1]),
+        ("c0", results["constants"]["c0"]),
+        ("c1", results["constants"]["c1"]),
+        ("c2", results["constants"]["c2"]),
+        ("korn_constant", results["korn_constant"]),
+        ("helmholtz_max_residual", worst_res),
+        ("helmholtz_max_pairing", worst_pair),
+    ]
+    tolerances = {"tol": cfg.tol, "tol_rank": cfg.tol_rank}
+    return _emit_report(cfg, results, tolerances, ("key", "value"), rows)
 
 
 def _load_fixture(cfg):
@@ -366,19 +371,14 @@ def cmd_fixture(cfg):
         },
         "helmholtz_max_residual": worst,
     }
-    if cfg.format == "csv":
-        rows = [
-            ("fixture", name),
-            ("dims", " ".join(map(str, cx.dims))),
-            ("betti", " ".join(map(str, betti))),
-            ("helmholtz_max_residual", worst),
-        ]
-        _emit_csv(cfg, ("key", "value"), rows)
-    else:
-        _emit_json(
-            cfg, _report(cfg, results, {"tol": cfg.tol, "tol_rank": cfg.tol_rank})
-        )
-    return EXIT_PASS
+    rows = [
+        ("fixture", name),
+        ("dims", " ".join(map(str, cx.dims))),
+        ("betti", " ".join(map(str, betti))),
+        ("helmholtz_max_residual", worst),
+    ]
+    tolerances = {"tol": cfg.tol, "tol_rank": cfg.tol_rank}
+    return _emit_report(cfg, results, tolerances, ("key", "value"), rows)
 
 
 def cmd_helmholtz(cfg):
@@ -395,15 +395,9 @@ def cmd_helmholtz(cfg):
         "max_residual": _worst(samples, "residual"),
         "max_pairing": _worst(samples, "max_pairing"),
     }
-    if cfg.format == "csv":
-        _emit_csv(
-            cfg,
-            ("sample", "residual", "max_pairing"),
-            [(s["sample"], s["residual"], s["max_pairing"]) for s in samples],
-        )
-    else:
-        _emit_json(cfg, _report(cfg, results, {"tol": cfg.tol}))
-    return EXIT_PASS
+    header = ("sample", "residual", "max_pairing")
+    rows = [(s["sample"], s["residual"], s["max_pairing"]) for s in samples]
+    return _emit_report(cfg, results, {"tol": cfg.tol}, header, rows)
 
 
 def cmd_poincare(cfg):
@@ -434,25 +428,15 @@ def cmd_poincare(cfg):
         "gt": BoundarySelection.parse(cfg.gt).label,
         "constants": rows,
     }
-    if cfg.format == "csv":
-        _emit_csv(
-            cfg,
-            ("label", "constant", "sharpness_residual"),
-            [(r["label"], r["constant"], r["sharpness_residual"]) for r in rows],
-        )
-    else:
-        _emit_json(cfg, _report(cfg, results, {"tol_rank": cfg.tol_rank}))
-    return EXIT_PASS
+    header = ("label", "constant", "sharpness_residual")
+    table = [(r["label"], r["constant"], r["sharpness_residual"]) for r in rows]
+    return _emit_report(cfg, results, {"tol_rank": cfg.tol_rank}, header, table)
 
 
 def cmd_korn(cfg):
     rep = korn_constant(cfg.p, cfg.gt)
     results = rep.to_dict()
-    if cfg.format == "csv":
-        _emit_csv(cfg, ("key", "value"), sorted(results.items()))
-    else:
-        _emit_json(cfg, _report(cfg, results, {}))
-    return EXIT_PASS
+    return _emit_report(cfg, results, {}, ("key", "value"), sorted(results.items()))
 
 
 _COMMANDS = {

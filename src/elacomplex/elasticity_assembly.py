@@ -17,16 +17,17 @@ identically at the rational stage.
 Every exact matrix of the assembly is a sparse int64 numerator matrix
 over int64 denominators, each entry below 2^62: a level's basis is one
 canonical CSR matrix of rows on the ambient monomial grid, one denominator
-per row; a grid operator (derived once per grid size from `poly_calculus`)
-is one CSR matrix over one denominator, so a level's images are one
-guarded sparse product; a chain operator (`ExactOperator`) is a CSC
-matrix, one denominator per column.  Images, normalisation and the row
-selection touch only stored entries.  Rows are made dense only by
-`_frame_rows`, the float stage's one reader of exact rows (Grams, norms
-that need extended precision, the Korn quotient), `_NORM_BLOCK` rows at
-a time; by the small face-trace solve; and, inside
-`exactlin.select_rows`, for the core of a selection.  Exact rational
-coordinates and polynomial fields are built from these on first use.
+per row; a grid operator (built once per grid size from the operator's
+constant symbol, read from `poly_calculus`) is one CSR matrix over one
+denominator, so a level's images are one guarded sparse product; a chain
+operator (`ExactOperator`) is a CSC matrix, one denominator per column.
+Images, normalisation and the row selection touch only stored entries.
+Rows are made dense only by `_frame_rows`, the float stage's one reader
+of exact rows (Grams, norms that need extended precision, the Korn
+quotient), `_NORM_BLOCK` rows at a time; by the small face-trace solve;
+and, inside `exactlin.select_rows`, for the core of a selection.  Exact
+rational coordinates and polynomial fields are built from these on first
+use.
 
 Linear independence is decided by `exactlin.select_rows`, which certifies
 every dependency it reports, so the kept bases, the operators and the
@@ -424,11 +425,13 @@ def _space_rows(space, nvar):
     return sparse.csr_matrix((np.tile(block[r, c], ncomp), indices, indptr), shape)
 
 
+# name -> (output kind, order): each chain operator is a constant-coefficient
+# operator of one order on its input kind
 _OPERATORS = {
-    "Grad": "matrix",
-    "sym_grad": "symmetric-tensor",
-    "rotrot_t": "symmetric-tensor",
-    "Div": "vector",
+    "Grad": ("matrix", 1),
+    "sym_grad": ("symmetric-tensor", 1),
+    "rotrot_t": ("symmetric-tensor", 2),
+    "Div": ("vector", 1),
 }
 
 
@@ -443,31 +446,51 @@ def _operator_matrix(name, in_kind, nvar):
     """A chain operator on the nvar monomial grid: (D, den, l1).
 
     The operator maps the field with coordinate row x to the field with
-    coordinates x @ D / den, where row r of the int64 CSR matrix D holds den
-    times the coordinates of the operator applied to the r-th unit monomial
-    field of `in_kind`; so D is derived from `poly_calculus`, which stays
-    the one definition of the operators.  D is read-only, as it is shared
-    by every caller.  `l1` is the largest column L1 norm of D.
+    coordinates x @ D / den: row r of the int64 CSR matrix D holds den times
+    the coordinates of the operator applied to the r-th unit monomial field
+    of `in_kind`, over the least common denominator of all rows.  `l1` is
+    the largest column L1 norm of D.
+
+    An operator of order k is sum_{|alpha| = k} C_alpha d^alpha, so its
+    symbol is read from `poly_calculus`, which stays the one definition of
+    the operators: the image of the field e_c x^alpha is the constant field
+    alpha! C_alpha e_c.  An image that is not constant means the operator
+    has terms of lower order, an `AssemblyError`.  On the grid,
+    d^alpha / alpha! maps x^e to binom(e, alpha) x^(e - alpha), so every
+    entry of D is one symbol entry times a product of binomials.  D is
+    cached per grid size and read-only, as it is shared by every caller.
     """
+    out_kind, order = _OPERATORS[name]
+    ncomp, grid = _KIND_COMPONENTS[in_kind], nvar**3
+    alphas = np.array([a for a in np.ndindex((order + 1,) * 3) if sum(a) == order])
     op = getattr(pc, name)
-    images = [
-        _coord_row(
-            op(_component_field(in_kind, comp, Poly3.monomial(a, b, c))),
-            _OPERATORS[name],
-            nvar,
-        )
-        for comp in range(_KIND_COMPONENTS[in_kind])
-        for a, b, c in itertools.product(range(nvar), repeat=3)
-    ]
-    den = math.lcm(*(d for _, d in images))
-    rows = [r for r, (img, _) in enumerate(images) for _ in img]
-    cols = [j for img, _ in images for j in img]
-    vals = [n * (den // d) for img, d in images for n in img.values()]
-    shape = (len(images), _KIND_COMPONENTS[_OPERATORS[name]] * nvar**3)
-    D = sparse.csr_matrix((np.array(vals, dtype=np.int64), (rows, cols)), shape)
+    terms = itertools.product(range(ncomp), alphas.tolist())
+    symbol = []
+    for term, (comp, alpha) in enumerate(terms):
+        field = op(_component_field(in_kind, comp, Poly3.monomial(*alpha)))
+        try:
+            row, d = _coord_row(field, out_kind, 1)
+        except AssemblyError:
+            raise AssemblyError("%s has terms below order %d" % (name, order)) from None
+        symbol += [(term, o, n, d) for o, n in row.items()]
+    # symbol entry: term t = (input component, alpha), output component o, n / d
+    t, o, n, d = np.array(symbol).T
+    lcm = math.lcm(*d.tolist())
+    c, a = np.divmod(t, len(alphas))
+    # binom(e, alpha) for every symbol entry and grid monomial e
+    e = np.indices((nvar,) * 3).reshape(3, -1)
+    comb = np.array([[math.comb(m, k) for k in range(order + 1)] for m in range(nvar)])
+    weight = comb[e, alphas[a][:, :, None]].prod(axis=1)
+    k, j = np.nonzero(weight)
+    vals = (n * (lcm // d))[k] * weight[k, j]
+    g = math.gcd(lcm, int(np.gcd.reduce(vals)))
+    rows = c[k] * grid + j
+    cols = o[k] * grid + np.ravel_multi_index(e[:, j] - alphas[a[k]].T, (nvar,) * 3)
+    shape = (ncomp * grid, _KIND_COMPONENTS[out_kind] * grid)
+    D = sparse.csr_matrix((vals // g, (rows, cols)), shape)
     _read_only(D)
     l1 = int(abs(D).sum(axis=0).max())
-    return D, den, l1
+    return D, lcm // g, l1
 
 
 def _grid_columns(ncomp, nvar, big):
@@ -517,7 +540,7 @@ def _images(nums, dens, name, in_kind, nvar_in, nvar):
     if nvar_in > nvar:
         # the nvar grid's columns within the larger grid, in increasing
         # order, so the remap keeps each row's indices sorted
-        inside = _grid_columns(_KIND_COMPONENTS[_OPERATORS[name]], nvar, nvar_in)
+        inside = _grid_columns(_KIND_COMPONENTS[_OPERATORS[name][0]], nvar, nvar_in)
         column = np.full(out.shape[1], -1, dtype=out.indices.dtype)
         column[inside] = np.arange(inside.size)
         indices = column[out.indices]
@@ -662,6 +685,10 @@ def _norm_bounds(kind, nums, dens, nvar):
     factor 1 + 2 (n + 8) u, which covers the rounding of x, K, mu and of
     the products and sums that form a, t and ||y||; the weighted sum is
     rounded up by 1 + 16 u, which covers its own at most 12 roundings.
+    The product rel s and the final sum lie outside that factor, so e can
+    fall a few u below the formula where the factors 1 + 2 (n + 8) u are
+    smallest (up to 1.5 u at nvar <= 2, on single-monomial rows); the
+    4096 u s allowance for the rounding of the bound itself covers that.
     """
     ncomp = _KIND_COMPONENTS[kind]
     weights = np.array(_KIND_WEIGHTS[kind], dtype=np.float64)
@@ -948,7 +975,7 @@ def _assemble_level(prev_level, op_name, generators, nvar):
     flags = np.arange(len(provenance)) < len(nonzero)
     kept, expansions, nprimes = _select_exact(cand_nums, cand_dens, flags)
     level, ks = _normalized_level(
-        _OPERATORS[op_name],
+        _OPERATORS[op_name][0],
         cand_nums[kept],
         cand_dens[kept],
         [provenance[i] for i in kept],

@@ -183,6 +183,18 @@ def test_korn_csv(capsys):
     assert rows["restricted_to_rm_complement"] == "True"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("target", ["missing/dir/report.json", "."])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, target, fmt):
+    out_path = tmp_path / target
+    code, out, err = run_cli(
+        capsys, "korn", "--p", "2", "--format", fmt, "--out", str(out_path)
+    )
+    assert code == 2 and out == ""
+    assert "config error: cannot write report" in err and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 # --- fixtures -------------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -477,7 +478,7 @@ def test_float_grams_and_korn_grams_match_one_shot_dense_rows(monkeypatch):
     assert len(seen) == 2
     for G, name in zip(seen, ("Grad", "sym_grad")):
         nums, dens = ea._images(rows, ones, name, "vector", nvar, nvar)
-        _assert_frame_path_is_one_shot(ea._OPERATORS[name], nums, dens, nvar, G)
+        _assert_frame_path_is_one_shot(ea._OPERATORS[name][0], nums, dens, nvar, G)
 
 
 # --- norm exponents -------------------------------------------------------------
@@ -500,7 +501,7 @@ def _normalization_inputs(monkeypatch, p, gt):
         inputs = [("vector", rows, ones, nvar)]
         for name in ("Grad", "sym_grad"):
             nums, dens = ea._images(rows, ones, name, "vector", nvar, nvar)
-            inputs.append((ea._OPERATORS[name], nums, dens, nvar))
+            inputs.append((ea._OPERATORS[name][0], nums, dens, nvar))
         return inputs
     inputs = []
     real = ea._normalized_level
@@ -678,6 +679,38 @@ def test_norm_bounds_hold_the_extended_precision_norms(case):
     assert np.all(e >= _entrywise_bound(kind, nums, dens, nvar))
 
 
+@pytest.mark.parametrize("nvar", [4, 5, 6])
+@pytest.mark.parametrize("kind", list(ea._KIND_COMPONENTS))
+def test_norm_bounds_round_up_on_single_monomial_rows(kind, nvar):
+    # For a row x = n/d at one monomial (a, b, c), Cauchy-Schwarz and the
+    # triangle inequality are tight: t = ||y|| = |x| mu, with mu^2 =
+    # 1/((2a+1)(2b+1)(2c+1)).  So the docstring's formula for e can be
+    # evaluated exactly, and only the rounding-up factors of `_norm_bounds`
+    # keep the float64 e at or above it (with `up` = 1, rows fall below).
+    ncomp, n = ea._KIND_COMPONENTS[kind], nvar**3
+    rng = np.random.default_rng(0)
+    count = 300
+    cols = rng.integers(0, ncomp * n, size=count)
+    nums = rng.integers(1, 2**62, size=count) * rng.choice([-1, 1], size=count)
+    dens = rng.integers(1, 2**62, size=count)
+    rows = sparse.csr_matrix((nums, (np.arange(count), cols)), (count, ncomp * n))
+    s, e = ea._norm_bounds(kind, rows, dens, nvar)
+    u = Fraction(1, 2**53)
+    v = Fraction(float(np.finfo(np.longdouble).eps)) / 2
+    c = 2 * ((n + 4) * u + 14 * v)
+    c_o = 2 * (3 * nvar + 20) * v
+    for col, num, den, si, ei in zip(
+        cols.tolist(), nums.tolist(), dens.tolist(), s.tolist(), e.tolist()
+    ):
+        comp, mono = divmod(col, n)
+        a, rest = divmod(mono, nvar * nvar)
+        b, z = divmod(rest, nvar)
+        t2 = Fraction(num, den) ** 2 / ((2 * a + 1) * (2 * b + 1) * (2 * z + 1))
+        w = ea._KIND_WEIGHTS[kind][comp]
+        rel = (2 * ncomp * n + 4096) * u
+        assert Fraction(ei) >= w * (2 * c + c * c + 3 * c_o) * t2 + rel * Fraction(si)
+
+
 # rows of one cold assembly that `_norm_exponents` handed to `_l2_norms`
 # when it formed |K| |x| in a second frame product, per selection in
 # BOUNDARY_CONFIGS order; the bound through the monomial norms may be
@@ -850,12 +883,13 @@ def _as_coords(nums, dens):
     ]
 
 
-@pytest.mark.parametrize("nvar", [5, 6])
+@pytest.mark.parametrize("nvar", [1, 2, 5, 6])
 @pytest.mark.parametrize("name,in_kind,op_fun", _OPERATOR_CASES)
 def test_operator_matrices_agree_with_poly_calculus(name, in_kind, op_fun, nvar):
-    out_kind = ea._OPERATORS[name]
+    out_kind = ea._OPERATORS[name][0]
     D, den, _ = ea._operator_matrix(name, in_kind, nvar)
-    assert den == (2 if name == "sym_grad" else 1)
+    # on the one-point grid every image is zero, over denominator 1
+    assert den == (2 if name == "sym_grad" and nvar > 1 else 1)
     assert D.format == "csr" and D.dtype == np.int64
     with pytest.raises(ValueError):
         D.data[0] = 1
@@ -866,6 +900,76 @@ def test_operator_matrices_agree_with_poly_calculus(name, in_kind, op_fun, nvar)
     # each image row is in least-denominator form, as _integer_rows gives it
     ref_nums, ref_dens = _integer_rows(expected, nums.shape[1])
     assert np.array_equal(nums.toarray(), ref_nums.toarray()) and list(dens) == ref_dens
+
+
+def _sweep_operator_matrix(name, in_kind, nvar):
+    """(D, den, l1) from the operator applied to every unit monomial field of
+    the grid, one `poly_calculus` call each: the reference for the matrices
+    that `_operator_matrix` builds from the operator's symbol."""
+    out_kind = ea._OPERATORS[name][0]
+    op = getattr(pc, name)
+    images = [
+        ea._coord_row(
+            op(ea._component_field(in_kind, comp, Poly3.monomial(a, b, c))),
+            out_kind,
+            nvar,
+        )
+        for comp in range(ea._KIND_COMPONENTS[in_kind])
+        for a, b, c in itertools.product(range(nvar), repeat=3)
+    ]
+    den = math.lcm(*(d for _, d in images))
+    rows = [r for r, (img, _) in enumerate(images) for _ in img]
+    cols = [j for img, _ in images for j in img]
+    vals = [n * (den // d) for img, d in images for n in img.values()]
+    shape = (len(images), ea._KIND_COMPONENTS[out_kind] * nvar**3)
+    D = sparse.csr_matrix((np.array(vals, dtype=np.int64), (rows, cols)), shape)
+    return D, den, int(abs(D).sum(axis=0).max())
+
+
+@pytest.mark.parametrize("name,in_kind,op_fun", _OPERATOR_CASES)
+def test_operator_matrices_equal_the_monomial_sweep(
+    monkeypatch, name, in_kind, op_fun
+):
+    calls = []
+    monkeypatch.setattr(pc, name, lambda f: calls.append(f) or op_fun(f))
+    ea._operator_matrix.cache_clear()
+    order = ea._OPERATORS[name][1]
+    for nvar in range(1, 9):
+        calls.clear()
+        D, den, l1 = ea._operator_matrix(name, in_kind, nvar)
+        # one call per symbol field e_c x^alpha with |alpha| = order
+        assert len(calls) == ea._KIND_COMPONENTS[in_kind] * math.comb(order + 2, 2)
+        ref, ref_den, ref_l1 = _sweep_operator_matrix(name, in_kind, nvar)
+        assert D.format == "csr" and D.has_canonical_format and D.shape == ref.shape
+        for field in ("indptr", "indices", "data"):
+            got, want = getattr(D, field), getattr(ref, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
+        assert (den, l1) == (ref_den, ref_l1)
+    monkeypatch.undo()
+    ea._operator_matrix.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "name,in_kind,lower",
+    [
+        ("sym_grad", "vector", lambda v: pc.scalar_id(v[0])),
+        ("rotrot_t", "symmetric-tensor", lambda S: pc.scalar_id(pc.Div(S)[0])),
+    ],
+    ids=["sym_grad", "rotrot_t"],
+)
+def test_operator_with_a_lower_order_term_is_an_assembly_error(
+    monkeypatch, name, in_kind, lower
+):
+    op = getattr(pc, name)
+    monkeypatch.setattr(pc, name, lambda f: op(f) + lower(f))
+    ea._operator_matrix.cache_clear()
+    order = ea._OPERATORS[name][1]
+    message = "%s has terms below order %d" % (name, order)
+    with pytest.raises(ea.AssemblyError, match=message):
+        ea._operator_matrix(name, in_kind, 4)
+    monkeypatch.undo()
+    ea._operator_matrix.cache_clear()
 
 
 def test_operator_matrix_from_a_larger_grid():
