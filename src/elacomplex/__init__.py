@@ -3,9 +3,9 @@ with mixed boundary conditions on box domains.
 
 Two layers:
 
-* an exact rational polynomial tensor-calculus engine that machine-checks
-  the operator identities behind the complex (``tensor_algebra``,
-  ``poly_calculus``, ``identity_suite``), and
+* an exact rational polynomial tensor-calculus engine, with the pointwise
+  tensor algebra on fields, that machine-checks the operator identities
+  behind the complex (``poly_calculus``, ``identity_suite``), and
 * a finite-dimensional functional-analysis toolbox (adjoints, Helmholtz
   decompositions, cohomology, Poincare constants, regular decompositions)
   applied to assembled discrete elasticity complexes and incidence-matrix

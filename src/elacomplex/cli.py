@@ -212,18 +212,11 @@ def cmd_verify_identities(cfg):
         )
     except identity_suite.UnknownIdentity as exc:
         raise ConfigError("unknown identity id %s" % exc)
-    cases = [
-        {
-            "id": r.identity_id,
-            "passed": r.passed,
-            "trials": r.trials,
-            "degree": r.degree,
-            "seed": r.seed,
-            "mutated": r.mutated,
-            "failures": list(r.failures),
-        }
-        for r in reports
-    ]
+    cases = []
+    for r in reports:
+        case = r.to_dict()
+        case["id"] = case.pop("identity_id")
+        cases.append(case)
     if cfg.format == "csv":
         _emit_csv(
             cfg,

@@ -166,9 +166,10 @@ class FiniteComplex:
         ops = [np.array(A, dtype=np.float64) for A in data["operators"]]
         if not all(np.isfinite(M).all() for M in grams + ops):
             raise ValueError("a Gram or operator entry is not finite")
-        for d, g in zip(dims, grams):
-            if g.shape != (d, d):
-                raise DimensionMismatch("gram shape disagrees with dims")
+        if len(dims) != len(grams) or any(
+            g.shape != (d, d) for d, g in zip(dims, grams)
+        ):
+            raise DimensionMismatch("gram shape disagrees with dims")
         return cls(grams, ops)
 
 

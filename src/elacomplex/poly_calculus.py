@@ -1,11 +1,20 @@
 """Exact polynomial tensor calculus on R^3.
 
 Sparse trivariate polynomials with rational coefficients, vector and matrix
-fields over them, and the first/second order differential operators of the
-elasticity complex.  A Poly3 holds integer numerators over one common
-denominator in lowest terms (see the class), so each ring operation and
-derivative is integer arithmetic plus one gcd per result, not a Fraction
-per term.  The operators:
+fields over them, the pointwise tensor algebra on those fields, and the
+first/second order differential operators of the elasticity complex.  A
+Poly3 holds integer numerators over one common denominator in lowest terms
+(see the class), so each ring operation and derivative is integer
+arithmetic plus one gcd per result, not a Fraction per term.
+
+The pointwise algebra acts at every point of a field; this is the package's
+only copy of it:
+
+    sym / skw / dev / trace     on matrix fields (sym S + skw S == S),
+    spn / spn_inv / cross       with spn(v) w == cross(v, w), and spn_inv
+                                raising NotSkew unless sym(S) == 0 exactly.
+
+The operators:
 
     grad / div / rot            on scalar resp. vector fields,
     Grad / Rot / Div            acting row-wise on matrix fields,
@@ -23,7 +32,6 @@ import itertools
 import math
 
 from .rational import Q, QZERO, as_q, qstr
-from .tensor_algebra import NotSkew
 
 _AXES = "xyz"
 
@@ -435,6 +443,10 @@ def Div(S):
 # ---------------------------------------------------------------------------
 # pointwise algebra lifted to fields
 # ---------------------------------------------------------------------------
+
+
+class NotSkew(ValueError):
+    """Raised when spn_inv is applied to a matrix field with sym(S) != 0."""
 
 
 def sym(S):

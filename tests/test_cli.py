@@ -360,6 +360,20 @@ def test_fixture_gram_shape_mismatch(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize(
+    "resize", [lambda d: [], lambda d: d[:1], lambda d: d + [1]],
+    ids=["empty", "short", "long"],
+)
+def test_fixture_dims_length_mismatch(tmp_path, capsys, resize):
+    data = _solid_box_data()
+    data["dims"] = resize(data["dims"])
+    path = tmp_path / "misnumbered.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "fixture", "--fixture", str(path))
+    assert code == 2
+    assert "config error: invalid fixture: gram shape disagrees with dims" in err
+
+
 def test_fixture_not_json(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")

@@ -2,12 +2,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elacomplex import poly_calculus as pc
-from elacomplex import tensor_algebra as ta
 from elacomplex.poly_calculus import (
     Div,
     Grad,
@@ -112,30 +112,50 @@ def test_exact_evaluation():
     assert val == Q(3, 2) * Q(1, 4) * Q(2) - Q(1, 3)
 
 
-def test_pointwise_field_algebra_matches_scalar_tensor_algebra():
-    # evaluating sym/skw/dev/spn of a field commutes with applying the
-    # pointwise tensor algebra to the evaluated matrix
+def _at(field, pt):
+    """A field's value at pt as a numpy object array of Fractions."""
+    vals = np.array(field.eval(pt), dtype=object)
+    return vals.reshape(3, 3) if vals.size == 9 else vals
+
+
+def test_pointwise_field_algebra_matches_matrix_formulas():
+    # evaluating sym/skw/dev/trace/spn of a field at a point agrees with the
+    # matrix formulas applied, in numpy, to the evaluated matrix
     rng = random.Random(7)
     pt = (Q(1, 3), Q(-1, 2), Q(2))
-    S = random_mat_field(rng, DEGREE)
-    v = random_vec_field(rng, DEGREE)
+    eye = np.identity(3, dtype=object)
+    for _ in range(5):
+        S = random_mat_field(rng, DEGREE)
+        v, w = random_vec_field(rng, DEGREE), random_vec_field(rng, DEGREE)
 
-    m_at = ta.Mat3(S.eval(pt))
-    assert pc.sym(S).eval(pt) == ta.sym(m_at).to_mat3().entries
-    assert pc.skw(S).eval(pt) == ta.skw(m_at).entries
-    assert pc.dev(S).eval(pt) == ta.dev(m_at).entries
-    assert pc.trace(S).eval(pt) == ta.tr(m_at)
+        M = _at(S, pt)
+        tr_m = M.diagonal().sum()
+        assert _at(pc.sym(S), pt).tolist() == ((M + M.T) / 2).tolist()
+        assert _at(pc.skw(S), pt).tolist() == ((M - M.T) / 2).tolist()
+        assert pc.trace(S).eval(pt) == tr_m
+        assert _at(pc.dev(S), pt).tolist() == (M - tr_m / 3 * eye).tolist()
 
-    v_at = ta.Vec3(*v.eval(pt))
-    assert pc.spn(v).eval(pt) == ta.spn(v_at).entries
+        v_at, w_at = _at(v, pt), _at(w, pt)
+        assert (_at(pc.spn(v), pt) @ w_at).tolist() == np.cross(v_at, w_at).tolist()
+
+        assert pc.sym(S) + pc.skw(S) == S
+        D = pc.dev(S)
+        assert pc.trace(D).is_zero()
+        assert pc.dev(D) == D
 
 
 def test_spn_inv_field_requires_exact_skewness():
     rng = random.Random(8)
     S = pc.skw(random_mat_field(rng, DEGREE))
     assert pc.spn(pc.spn_inv(S)) == S
-    with pytest.raises(ta.NotSkew):
+    v = random_vec_field(rng, DEGREE)
+    assert pc.spn_inv(pc.spn(v)) == v
+    with pytest.raises(pc.NotSkew):
         pc.spn_inv(pc.scalar_id(Poly3.constant(1)))
+    # one symmetric off-diagonal pair is the only fault
+    z, f = Poly3(), Poly3.variable(2)
+    with pytest.raises(pc.NotSkew):
+        pc.spn_inv(S + PolyMatField((z, f, z, f, z, z, z, z, z)))
 
 
 def test_sampling_determinism_and_coefficient_range():
