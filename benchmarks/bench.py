@@ -22,8 +22,11 @@ back to the extended-precision `_l2_norms`, the number of
 the dims, ranks, kernel dims, harmonic dims and `meta` of the complex.
 After the build the child times `ec.float_grams()`, the L2 Grams of the
 four levels (`float_grams_s`, the float stage's conversion of exact
-rows), and records its peak resident set size over the build and the
-Grams (`peak_rss_mb`, from `ru_maxrss`).
+rows), then on `ec.finite_complex()` the float cohomology at all four
+levels (`cohomology_s`, dimensions only) and `complex_constants`
+(`constants_s`), then `korn_constant(p, gt)` (`korn_s`). It records its
+peak resident set size over all of these (`peak_rss_mb`, from
+`ru_maxrss`).
 
 With --verbs each run is one CLI call in a new interpreter instead, with
 the argument lists of the `toolbox` workload of perfbench (seed
@@ -61,6 +64,9 @@ MEASURES = (
     "normalize_s",
     "images_s",
     "float_grams_s",
+    "cohomology_s",
+    "constants_s",
+    "korn_s",
     "peak_rss_mb",
 )
 BLAS_THREADS = str(min(2, len(os.sched_getaffinity(0))))
@@ -81,10 +87,11 @@ facts = {
 }
 """
 
-# run in the child: time one cold assembly and the selections inside it
+# run in the child: time one cold assembly, the selections inside it and
+# the float stage after it
 CHILD = FACTS + r"""
 import resource, sys, time
-from elacomplex import elasticity_assembly as ea, exactlin
+from elacomplex import elasticity_assembly as ea, exactlin, fa_toolbox as fa
 
 p, gt = int(sys.argv[1]), sys.argv[2]
 
@@ -114,6 +121,17 @@ wall, cpu = time.perf_counter() - start, time.process_time() - cpu
 start = time.perf_counter()
 ec.float_grams()
 float_grams = time.perf_counter() - start
+cx = ec.finite_complex()
+start = time.perf_counter()
+for n in range(4):
+    fa.cohomology(cx, n)
+cohomology = time.perf_counter() - start
+start = time.perf_counter()
+fa.complex_constants(cx)
+constants = time.perf_counter() - start
+start = time.perf_counter()
+ea.korn_constant(p, gt)
+korn = time.perf_counter() - start
 print(json.dumps({
     "wall_s": wall,
     "cpu_s": cpu,
@@ -131,6 +149,9 @@ print(json.dumps({
     "images_s": sum(images),
     "norm_fallback_rows": sum(fallback),
     "float_grams_s": float_grams,
+    "cohomology_s": cohomology,
+    "constants_s": constants,
+    "korn_s": korn,
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     "dims": list(ec.dims),
     "ranks": list(ec.ranks),
@@ -301,6 +322,7 @@ def main(argv=None):
                     print(
                         "%-8s p=%d %-6s wall %6.2f s  cpu %6.2f s  select_rows %6.2f s"
                         "  normalize %5.2f s  images %5.2f s  grams %5.2f s"
+                        "  cohomology %5.2f s  constants %5.2f s  korn %5.2f s"
                         "  rss %4.0f MiB  levels %d  primes %s  structural %s"
                         % (
                             label,
@@ -312,6 +334,9 @@ def main(argv=None):
                             rec["normalize_s"],
                             rec["images_s"],
                             rec["float_grams_s"],
+                            rec["cohomology_s"],
+                            rec["constants_s"],
+                            rec["korn_s"],
                             rec["peak_rss_mb"],
                             rec["levels_assembled"],
                             rec["primes_used"],

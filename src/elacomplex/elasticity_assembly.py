@@ -1546,7 +1546,7 @@ def korn_constant(p, gt="none"):
     if restricted:
         g = fa.InnerProduct(np.diag([float(q) for q in space.gram_diag]))
         R = _rigid_motion_matrix(space)
-        W = fa.kernel_basis(R.T @ g.G, g)
+        W = fa.kernel_basis(g.times_gram(R.T), g)
         K = W.T @ K @ W
         M = W.T @ M @ W
     if K.shape[0] == 0:

@@ -14,6 +14,12 @@ All computations are float64; ranks are decided by a relative singular
 value tolerance.  The weights (e.g. elasticity's epsilon and mu) are the
 Grams carried by the middle spaces, so "adjoint" always means adjoint with
 respect to those weighted inner products.
+
+`InnerProduct` alone applies a Gram and its Cholesky factor L.  A Gram that
+is exactly the identity, as on every cubical de Rham complex, skips those
+congruences and gives bit-identical results.  A diagonal Gram does not:
+`dtrsm` multiplies by reciprocal pivots, so a diagonal shortcut would change
+the bits of `korn`.
 """
 
 from dataclasses import dataclass
@@ -60,7 +66,26 @@ def _used_tol(shape, s, tol):
 
 
 class InnerProduct:
-    """SPD Gram matrix defining a weighted inner product."""
+    """SPD Gram matrix G = L L^T defining a weighted inner product.
+
+    The one owner of the Gram congruences: L^T M (`to_orthonormal`),
+    L^{-T} Y (`from_orthonormal`), A L^{-T} (`transformed`), P L^T
+    (`untransformed`), M G (`times_gram`), G x (`apply_gram`), G^{-1} B
+    (`solve_gram`) and the inner product itself.
+
+    A Gram that is exactly the identity skips its congruences: each method
+    returns its argument, in the memory order the generic product would give
+    (`np.ascontiguousarray` or `np.asfortranarray`, which copy only when the
+    order differs), so results keep every bit.  "Exactly" means the bit
+    pattern of `np.eye` after symmetrisation: ones on the diagonal and +0.0
+    elsewhere.  A -0.0 off the diagonal that symmetrisation keeps (one at
+    both (i, j) and (j, i)) takes the generic path; a lone one becomes +0.0
+    there and so is the identity.  A diagonal Gram is not skipped: `dtrsm`
+    multiplies by reciprocal pivots, so a diagonal shortcut dividing by them
+    would change the bits of results such as `korn`.  A result that is a
+    view of its argument may pin or alias the caller's array; callers whose
+    result escapes copy it.
+    """
 
     def __init__(self, gram):
         G = np.asarray(gram, dtype=np.float64)
@@ -69,11 +94,15 @@ class InnerProduct:
         if G.size and not np.allclose(G, G.T, rtol=1e-10, atol=1e-12):
             raise NotSPD("Gram matrix is not symmetric")
         G = 0.5 * (G + G.T)
-        try:
-            L = np.linalg.cholesky(G) if G.size else np.zeros_like(G)
-        except np.linalg.LinAlgError as exc:
-            raise NotSPD("Gram matrix fails Cholesky") from exc
         self.G = G
+        self.is_identity = _is_identity(G)
+        if self.is_identity:
+            L = np.eye(len(G))  # bitwise the Cholesky factor of I
+        else:
+            try:
+                L = np.linalg.cholesky(G)
+            except np.linalg.LinAlgError as exc:
+                raise NotSPD("Gram matrix fails Cholesky") from exc
         self.L = L  # G = L L^T
 
     @classmethod
@@ -85,13 +114,61 @@ class InnerProduct:
         return self.G.shape[0]
 
     def inner(self, x, y):
-        return float(np.asarray(x) @ self.G @ np.asarray(y))
+        return float(self.times_gram(np.asarray(x)) @ np.asarray(y))
 
     def norm(self, x):
         return float(np.sqrt(max(self.inner(x, x), 0.0)))
 
+    def to_orthonormal(self, M):
+        """L^T M: coordinates M in the orthonormal frame."""
+        if self.is_identity:
+            return np.ascontiguousarray(M)
+        return self.L.T @ M
+
     def from_orthonormal(self, Y):
-        return solve_triangular(self.L.T, Y, lower=False) if self.dim else Y
+        """L^{-T} Y: orthonormal coordinates Y back in the space's own."""
+        if self.is_identity:
+            return np.asfortranarray(Y)
+        return solve_triangular(self.L.T, Y, lower=False)
+
+    def transformed(self, A):
+        """A L^{-T}: the operator A on this space's orthonormal coordinates."""
+        if self.is_identity:
+            return np.ascontiguousarray(A)
+        return solve_triangular(self.L, A.T, lower=True).T
+
+    def untransformed(self, P):
+        """P L^T: a map into orthonormal coordinates, into the space's own."""
+        if self.is_identity:
+            return np.ascontiguousarray(P)
+        return P @ self.L.T
+
+    def times_gram(self, M):
+        """M G."""
+        if self.is_identity:
+            return np.ascontiguousarray(M)
+        return M @ self.G
+
+    def apply_gram(self, x):
+        """G x."""
+        if self.is_identity:
+            return np.ascontiguousarray(x)
+        return self.G @ x
+
+    def solve_gram(self, B):
+        """G^{-1} B."""
+        if self.is_identity:
+            return np.asfortranarray(B)
+        return cho_solve(cho_factor(self.G), B)
+
+
+def _is_identity(G):
+    """Whether the square G has the bit pattern of np.eye, without an n x n
+    temporary: the diagonal first, then the entries with any bit set."""
+    return bool(
+        np.all(np.diagonal(G) == 1.0)
+        and np.count_nonzero(G.view(np.uint64)) == len(G)
+    )
 
 
 def random_spd(n, rng):
@@ -182,15 +259,8 @@ def adjoint(A, g_dom, g_cod):
         )
     if g_dom.dim == 0 or g_cod.dim == 0:
         return A.T.copy()
-    c, low = cho_factor(g_dom.G)
-    return cho_solve((c, low), A.T @ g_cod.G)
-
-
-def _transformed(A, g_dom):
-    """A L_dom^{-T}: the operator in dom-orthonormal coordinates."""
-    if g_dom.dim == 0:
-        return A
-    return solve_triangular(g_dom.L, A.T, lower=True).T
+    # a copy in A.T's order: identity Grams return their argument
+    return g_dom.solve_gram(g_cod.times_gram(A.T.copy(order="K")))
 
 
 def kernel_basis(A, g, tol=None):
@@ -199,15 +269,16 @@ def kernel_basis(A, g, tol=None):
     n = g.dim
     if not A.size:
         A = np.zeros((1, n))
-    At = _transformed(A, g)
+    At = g.transformed(A)
     U, s, Vt = np.linalg.svd(At, full_matrices=True)
     r = int(np.sum(s > _used_tol(At.shape, s, tol)))
-    Y = Vt[r:].T  # orthonormal kernel in transformed coordinates
+    # orthonormal kernel in transformed coordinates; a copy, not a view of Vt
+    Y = Vt[r:].T.copy(order="F")
     return g.from_orthonormal(Y)
 
 
 def rank_of(A, g_dom, g_cod):
-    At = _transformed(np.asarray(A, dtype=np.float64), g_dom)
+    At = g_dom.transformed(np.asarray(A, dtype=np.float64))
     s = np.linalg.svd(At, compute_uv=False) if At.size else np.array([])
     return int(np.sum(s > _used_tol(At.shape, s, None)))
 
@@ -218,7 +289,7 @@ def _harmonic_constraints(cx, n):
     empty = np.zeros((1, g.dim))
     # N(A_{n-1}*) = N(A_{n-1}^T G_n): no inverse Gram needed for the kernel
     return np.vstack(
-        [A_n if A_n.size else empty, A_prev.T @ g.G if A_prev.size else empty]
+        [A_n if A_n.size else empty, g.times_gram(A_prev.T) if A_prev.size else empty]
     )
 
 
@@ -269,7 +340,7 @@ def cohomology(cx, n, tol=None):
     key = ("cohomology", n, tol)
     if key not in cx._cache:
         g = cx.gram(n)
-        At = _transformed(_harmonic_constraints(cx, n), g)
+        At = g.transformed(_harmonic_constraints(cx, n))
         s = np.linalg.svd(At, compute_uv=False) if At.size else np.array([])
         used_tol = _used_tol(At.shape, s, tol)
         cx._cache[key] = (g.dim - int(np.sum(s > used_tol)), used_tol)
@@ -280,7 +351,7 @@ def cohomology(cx, n, tol=None):
 def harmonic_projector(cx, n):
     """G_n-orthogonal projector onto the harmonic space at level n."""
     B = cohomology(cx, n).basis
-    return B @ B.T @ cx.gram(n).G
+    return cx.gram(n).times_gram(B @ B.T)
 
 
 @dataclass
@@ -294,11 +365,11 @@ class HelmholtzResult:
     kernel_residuals: tuple  # (|A_n x_harm|, |A_{n-1}* x_harm|), op-relative
 
 
-def _operator_scales(A_prev, A_n, G):
+def _operator_scales(A_prev, A_n, g):
     """max|A_n| and max|A_{n-1}^T G_n|: the scales of Helmholtz's kernel
     residuals."""
     op_a = float(np.max(np.abs(A_n))) if A_n.size else 0.0
-    op_b = float(np.max(np.abs(A_prev.T @ G))) if A_prev.size else 0.0
+    op_b = float(np.max(np.abs(g.times_gram(A_prev.T)))) if A_prev.size else 0.0
     return op_a, op_b
 
 
@@ -319,7 +390,7 @@ def helmholtz(x, cx, n, tol=1e-10):
         raise DimensionMismatch("x has wrong dimension")
     A_prev = cx.op(n - 1)
     A_n = cx.op(n)
-    xt = g.L.T @ x
+    xt = g.to_orthonormal(x)
 
     key = ("helmholtz_bases", n)
     if key not in cx._cache:
@@ -327,7 +398,7 @@ def helmholtz(x, cx, n, tol=1e-10):
             # orthonormal basis (in transformed coordinates) of span(L^T M)
             if not M.size:
                 return np.zeros((g.dim, 0))
-            Mt = g.L.T @ M
+            Mt = g.to_orthonormal(M)
             U, s, _ = np.linalg.svd(Mt, full_matrices=False)
             r = int(np.sum(s > _used_tol(Mt.shape, s, None)))
             return U[:, :r]
@@ -338,7 +409,7 @@ def helmholtz(x, cx, n, tol=1e-10):
         cx._cache[key] = (
             ortho_range(A_prev),
             ortho_range(astar),
-            *_operator_scales(A_prev, A_n, g.G),
+            *_operator_scales(A_prev, A_n, g),
         )
     q_range, q_costar, op_a, op_b = cx._cache[key]
 
@@ -352,7 +423,7 @@ def helmholtz(x, cx, n, tol=1e-10):
     e2 = max(float(np.linalg.norm(x)), 1.0e-300)
     res_a = float(np.max(np.abs(A_n @ x_harm))) if A_n.size else 0.0
     res_b = (
-        float(np.max(np.abs(A_prev.T @ (g.G @ x_harm)))) if A_prev.size else 0.0
+        float(np.max(np.abs(A_prev.T @ g.apply_gram(x_harm)))) if A_prev.size else 0.0
     )
     kernel_residuals = (
         res_a / max(1.0, op_a * e2),
@@ -413,7 +484,7 @@ def poincare_constant(A, g_dom, g_cod, label="A", tol=None):
     A = np.asarray(A, dtype=np.float64)
     if A.shape != (g_cod.dim, g_dom.dim):
         raise DimensionMismatch("operator/Gram shapes disagree")
-    At = g_cod.L.T @ _transformed(A, g_dom)
+    At = g_cod.to_orthonormal(g_dom.transformed(A))
     U, s, Vt = np.linalg.svd(At)
     used_tol = _used_tol(At.shape, s, tol)
     positive = s[s > used_tol]
@@ -421,7 +492,7 @@ def poincare_constant(A, g_dom, g_cod, label="A", tol=None):
         raise ZeroOperator("operator is numerically zero")
     sigma = float(positive[-1])
     k = int(np.sum(s > used_tol)) - 1
-    x = g_dom.from_orthonormal(Vt[k])
+    x = g_dom.from_orthonormal(Vt[k].copy())  # not a view of Vt
     return PoincareReport(
         label=label,
         constant=1.0 / sigma,
@@ -450,7 +521,7 @@ def mixed_estimate_check(x, cx, c0, c1):
     x = np.asarray(x, dtype=np.float64)
     H = cohomology(cx, 1).basis
     if H.size:
-        coef = H.T @ (g1.G @ x)
+        coef = H.T @ g1.apply_gram(x)
         if np.linalg.norm(coef) > 1e-8 * max(g1.norm(x), 1e-300):
             raise NotOrthogonalToHarmonics(
                 "harmonic component %g" % float(np.linalg.norm(coef))
@@ -468,14 +539,13 @@ def mixed_estimate_check(x, cx, c0, c1):
 def reduced_inverse(A, g_dom, g_cod):
     """Weighted pseudo-inverse P with A P = id on R(A) and R(P) perp N(A)."""
     A = np.asarray(A, dtype=np.float64)
-    At = g_cod.L.T @ _transformed(A, g_dom)
+    At = g_cod.to_orthonormal(g_dom.transformed(A))
     U, s, Vt = np.linalg.svd(At, full_matrices=False)
     used_tol = _used_tol(At.shape, s, None)
     inv = np.where(s > used_tol, 1.0 / np.where(s > used_tol, s, 1.0), 0.0)
     Pt = (Vt.T * inv) @ U.T
     # undo the congruence on both sides
-    P = g_dom.from_orthonormal(Pt) @ g_cod.L.T
-    return P
+    return g_cod.untransformed(g_dom.from_orthonormal(Pt))
 
 
 @dataclass
@@ -555,7 +625,7 @@ def operator_norm(M, g_dom, g_cod):
     M = np.asarray(M, dtype=np.float64)
     if not M.size:
         return 0.0
-    Mt = g_cod.L.T @ _transformed(M, g_dom)
+    Mt = g_cod.to_orthonormal(g_dom.transformed(M))
     s = np.linalg.svd(Mt, compute_uv=False)
     return float(s[0]) if s.size else 0.0
 
@@ -570,7 +640,7 @@ def _span_rank(X, g):
     """
     if not X.size:
         return 0
-    Y = g.L.T @ X
+    Y = g.to_orthonormal(X)
     s = np.linalg.svd(Y, compute_uv=False)
     smax = s[0] if s.size else 0.0
     return int(np.sum(s > default_rank_tol(Y.shape, max(smax, 1.0))))
@@ -596,9 +666,9 @@ def kernel_projector_images(cx, n=1):
     A_n = cx.op(n)
     A_prev = cx.op(n - 1)
     kn = kernel_basis(A_n, g)
-    kstar = kernel_basis(A_prev.T @ g.G, g)
-    pi_star = kstar @ kstar.T @ g.G  # G-orthogonal projector onto N(A*)
-    pi_ker = kn @ kn.T @ g.G
+    kstar = kernel_basis(g.times_gram(A_prev.T), g)
+    pi_star = g.times_gram(kstar @ kstar.T)  # G-orthogonal projector onto N(A*)
+    pi_ker = g.times_gram(kn @ kn.T)
     harm = cohomology(cx, n).basis
     img1 = pi_star @ kn
     img2 = pi_ker @ kstar
@@ -641,12 +711,12 @@ def pre_basis_check(B, cx, n=1):
             % (B.shape[1], d)
         )
     A_prev = cx.op(n - 1)
-    kstar = kernel_basis(A_prev.T @ g.G, g)
-    pi_star = kstar @ kstar.T @ g.G
+    kstar = kernel_basis(g.times_gram(A_prev.T), g)
+    pi_star = g.times_gram(kstar @ kstar.T)
     projected = pi_star @ B
     proj_rank = _span_rank(projected, g)
     # Harm ∩ B-perp: harmonic combinations annihilated by <B, .>_G
-    M = B.T @ g.G @ harm if harm.size else np.zeros((B.shape[1], 0))
+    M = g.times_gram(B.T) @ harm if harm.size else np.zeros((B.shape[1], 0))
     cap_dim = (
         M.shape[1] - np.linalg.matrix_rank(M) if M.size else harm.shape[1]
     )
@@ -654,7 +724,7 @@ def pre_basis_check(B, cx, n=1):
     A_n = cx.op(n)
     astar = adjoint(A_n, g, cx.gram(n + 1)) if A_n.size else np.zeros((g.dim, 0))
     if kstar.size:
-        W = B.T @ g.G @ kstar
+        W = g.times_gram(B.T) @ kstar
         if W.size:
             _, s, Vt = np.linalg.svd(W, full_matrices=True)
             r = int(np.sum(s > default_rank_tol(W.shape, s[0] if s.size else 0)))

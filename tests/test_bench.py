@@ -4,7 +4,8 @@ Its child process wraps `exactlin.select_rows` (reading the third result,
 the primes used), `exactlin._structural_pivots`, `_assemble_level`,
 `_normalized_level`, `_images` and `_l2_norms` by name (reading the
 row count of the CSR rows `_l2_norms` gets), reads the stored entries of
-each level's rows, and times `float_grams` after the build.  A rename
+each level's rows, and times `float_grams`, the float cohomology,
+`complex_constants` and `korn_constant` after the build.  A rename
 there breaks no other test but empties or breaks the benchmark's
 counters, so cold p=4 runs of the child run here.
 """
@@ -41,6 +42,9 @@ def test_child_records_every_counter():
     assert 0 < rec["normalize_s"] < rec["wall_s"]
     assert 0 < rec["images_s"] < rec["wall_s"]
     assert rec["float_grams_s"] > 0
+    assert rec["cohomology_s"] > 0
+    assert rec["constants_s"] > 0
+    assert rec["korn_s"] > 0
     # the interpreter, numpy and scipy alone take more than 10 MiB
     assert 10 < rec["peak_rss_mb"] < 4096
     assert rec["dims"] and rec["ranks"]

@@ -1,5 +1,8 @@
+import copy
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from elacomplex import derham, fa_toolbox as fa
 
@@ -126,7 +129,7 @@ def test_cohomology_json_dict_is_the_stacked_kernel(torus):
     rep = fa.cohomology(torus, 1)
     g = torus.gram(1)
     stacked = np.vstack([torus.op(1), torus.op(0).T @ g.G])
-    smax = np.linalg.svd(fa._transformed(stacked, g), compute_uv=False)[0]
+    smax = np.linalg.svd(g.transformed(stacked), compute_uv=False)[0]
     assert rep.rank_tol == fa.default_rank_tol(stacked.shape, smax)
     data = rep.to_json_dict()
     assert list(data) == ["n", "dimension", "basis", "rank_tol"]
@@ -386,6 +389,194 @@ def test_pre_basis_check_cardinality(torus):
     H = fa.cohomology(torus, 1).basis
     with pytest.raises(fa.WrongCardinality):
         fa.pre_basis_check(np.hstack([H, H]), torus)
+
+
+# --- identity Grams -----------------------------------------------------------
+
+
+def _same_bits(a, b, path="result"):
+    """Equal values and equal sign bits, through dicts, tuples and lists."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for k in a:
+            _same_bits(a[k], b[k], "%s[%r]" % (path, k))
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            _same_bits(x, y, "%s[%d]" % (path, i))
+    elif isinstance(a, (np.ndarray, float)):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape, path
+        assert np.array_equal(a, b), path
+        assert np.array_equal(np.signbit(a), np.signbit(b)), path
+    else:
+        assert a == b, path
+
+
+def _forced_generic(cx):
+    """cx with every space on the generic congruences, factored by Cholesky."""
+    spaces = []
+    for g in cx.spaces:
+        forced = copy.copy(g)
+        forced.is_identity = False
+        forced.L = np.linalg.cholesky(g.G)
+        spaces.append(forced)
+    return fa.FiniteComplex(spaces, cx.operators)
+
+
+def _public_results(cx):
+    """Every public fa_toolbox result on the complex cx."""
+    out = {}
+    rng = np.random.default_rng(21)
+    for n in range(len(cx.dims)):
+        rep = fa.cohomology(cx, n)
+        out["cohomology", n] = (rep.dimension, rep.rank_tol, rep.basis)
+        out["harmonic_projector", n] = fa.harmonic_projector(cx, n)
+    for i in range(len(cx.operators)):
+        A, gd, gc = cx.op(i), cx.gram(i), cx.gram(i + 1)
+        out["kernel_basis", i] = fa.kernel_basis(A, gd)
+        out["rank_of", i] = fa.rank_of(A, gd, gc)
+        out["adjoint", i] = fa.adjoint(A, gd, gc)
+        out["reduced_inverse", i] = fa.reduced_inverse(A, gd, gc)
+        out["operator_norm", i] = fa.operator_norm(A, gd, gc)
+    constants = fa.complex_constants(cx)
+    for name, rep in constants.items():
+        out[name] = rep and (rep.constant, rep.sigma_min, rep.extremal, rep.rank_tol)
+    for n in (1, 2):
+        for t in range(3):
+            h = fa.helmholtz(rng.standard_normal(cx.dims[n]), cx, n)
+            out["helmholtz", n, t] = (
+                h.x_range, h.x_harm, h.x_costar, h.pairings, h.residual,
+                h.kernel_residuals,
+            )
+        d = fa.regular_decomposition(cx, n)
+        out["regular_decomposition", n] = (
+            d.q1, d.q0, d.complement, d.harmonic, d.potential_n,
+            d.potential_prev, d.harm_dim,
+        )
+        out["kernel_projector_images", n] = fa.kernel_projector_images(cx, n)
+    H = fa.cohomology(cx, 1).basis
+    B = H + cx.op(0) @ rng.standard_normal((cx.dims[0], H.shape[1]))
+    out["pre_basis_check"] = fa.pre_basis_check(B, cx)
+    for t in range(3):
+        x = rng.standard_normal(cx.dims[1])
+        x = x - H @ (H.T @ cx.gram(1).apply_gram(x))
+        out["mixed_estimate_check", t] = fa.mixed_estimate_check(
+            x, cx, constants["c0"].constant, constants["c1"].constant
+        )
+    return out
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [derham.torus_cells(), derham.solid_box_cells(), derham.solid_box_cells(2, 3, 4)],
+    ids=["torus", "solid_box", "box_2x3x4"],
+)
+def test_identity_grams_skip_congruences_bit_identically(cells):
+    cx = derham.cubical_complex(cells)
+    assert all(g.is_identity for g in cx.spaces)
+    # the Cholesky factor of I is bitwise I, sign bits included
+    for g in cx.spaces:
+        _same_bits(np.linalg.cholesky(g.G), g.L)
+    generic = _forced_generic(cx)
+    assert not any(g.is_identity for g in generic.spaces)
+    _same_bits(_public_results(cx), _public_results(generic))
+
+
+def _generic_congruences(G, M):
+    """Each congruence of the Gram G applied to M, by the generic formulas."""
+    G = 0.5 * (G + G.T)
+    L = np.linalg.cholesky(G)
+    x = M[:, 0]
+    return [
+        L.T @ M,
+        solve_triangular(L.T, M, lower=False),
+        solve_triangular(L, M.T, lower=True).T,
+        M @ L.T,
+        M @ G,
+        G @ x,
+        cho_solve(cho_factor(G), M),
+        float(x @ G @ M[:, 1]),
+    ]
+
+
+def _congruences(g, M):
+    x = M[:, 0]
+    return [
+        g.to_orthonormal(M),
+        g.from_orthonormal(M),
+        g.transformed(M),
+        g.untransformed(M),
+        g.times_gram(M),
+        g.apply_gram(x),
+        g.solve_gram(M),
+        g.inner(x, M[:, 1]),
+    ]
+
+
+def _non_identity_grams():
+    n = 4
+    diagonal = np.eye(n)
+    diagonal[2, 2] = np.nextafter(1.0, 2.0)
+    tiny = np.eye(n)
+    tiny[0, 3] = tiny[3, 0] = 1e-300
+    negative_zero = np.eye(n)
+    negative_zero[1, 2] = negative_zero[2, 1] = -0.0
+    return {
+        "diagonal": diagonal,
+        "tiny": tiny,
+        "negative_zero": negative_zero,
+        "spd": fa.random_spd(n, np.random.default_rng(23)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_non_identity_grams()))
+def test_grams_not_exactly_identity_take_the_generic_path(name):
+    G = _non_identity_grams()[name]
+    before = G.copy()
+    g = fa.InnerProduct(G)
+    assert not g.is_identity
+    _same_bits(g.L, np.linalg.cholesky(0.5 * (G + G.T)))
+    M = np.random.default_rng(22).standard_normal((4, 4))
+    _same_bits(_congruences(g, M), _generic_congruences(G, M))
+    _same_bits(G, before)
+
+
+def test_identity_detection():
+    assert fa.InnerProduct.identity(5).is_identity
+    assert fa.InnerProduct.identity(0).is_identity
+    # -0.0 at (i, j) and (j, i) survives symmetrisation and is generic; a
+    # lone -0.0 becomes +0.0 there (-0.0 + 0.0 = +0.0), so it is identity
+    lone = np.eye(3)
+    lone[0, 1] = -0.0
+    g = fa.InnerProduct(lone)
+    assert g.is_identity
+    assert not np.signbit(g.G).any()
+    assert np.signbit(lone[0, 1])  # the caller's array is unchanged
+    assert not fa.InnerProduct(2.0 * np.eye(3)).is_identity
+    for cells in (derham.torus_cells(), derham.solid_box_cells()):
+        cx = derham.cubical_complex(cells)
+        loaded = fa.FiniteComplex.from_json_dict(cx.to_json_dict())
+        assert all(g.is_identity for g in cx.spaces + loaded.spaces)
+
+
+def test_identity_results_are_fresh_arrays(torus):
+    # skipped congruences return their argument: results that escape must
+    # still own their data, neither aliasing the caller's operator nor
+    # pinning a whole SVD factor
+    A, gd, gc = torus.op(0), torus.gram(0), torus.gram(1)
+    before = A.copy()
+    results = [
+        fa.adjoint(A, gd, gc),
+        fa.kernel_basis(A, gd),
+        fa.poincare_constant(A, gd, gc).extremal,
+        fa.reduced_inverse(A, gd, gc),
+        fa.cohomology(torus, 1).basis,
+    ]
+    for r in results:
+        assert r.base is None
+        assert not np.shares_memory(r, A)
+    _same_bits(A, before)
 
 
 # --- complex construction ----------------------------------------------------
