@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -442,6 +443,7 @@ _COMMANDS = {
 }
 
 
+@cache  # one parser per process: parsing leaves it unchanged
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="elacomplex",

@@ -11,7 +11,9 @@ the generator fields, so each image is a basis vector of the next level or
 an exactly verified rational combination of earlier image basis vectors.
 The chain is assembled in one pass; strain potentials that close the
 level-1 cohomology are then adjoined to V0, their images exactly verified
-combinations of V1's generator basis vectors.  So A1*A0 and A2*A1 vanish
+combinations of V1's generator basis vectors.  The potentials may need a
+larger grid than V1's; V0's and V1's rows are then embedded into it by one
+order-preserving column map (`_embedded_rows`).  So A1*A0 and A2*A1 vanish
 identically at the rational stage.
 
 Every exact matrix of the assembly is a sparse int64 numerator matrix
@@ -19,8 +21,9 @@ over int64 denominators, each entry below 2^62: a level's basis is one
 canonical CSR matrix of rows on the ambient monomial grid, one denominator
 per row; a grid operator (built once per grid size from the operator's
 constant symbol, read from `poly_calculus`) is one CSR matrix over one
-denominator, so a level's images are one guarded sparse product; a chain
-operator (`ExactOperator`) is a CSC matrix, one denominator per column.
+denominator, so a level's images are one guarded sparse product on the
+level's own grid (`_images`); a chain operator (`ExactOperator`) is a CSC
+matrix, one denominator per column.
 Images, normalisation and the row selection touch only stored entries.
 Rows are made dense only by `_frame_rows`, the float stage's one reader
 of exact rows (Grams, norms that need extended precision, the Korn
@@ -239,18 +242,25 @@ class FieldSpace:
         return tuple(fields)
 
 
-def _component_field(kind, comp, poly):
+def _kind_field(kind, polys):
+    """The field of `kind` whose components, in the order of
+    `_field_components`, are `polys`: the one placement of a kind's
+    components (a symmetric tensor's off-diagonal ones on both sides)."""
     if kind == "scalar":
-        return poly
+        return polys[0]
     if kind == "vector":
-        comps = [Poly3.zero(), Poly3.zero(), Poly3.zero()]
-        comps[comp] = poly
-        return PolyVecField(comps)
-    i, j = _SYM_ENTRIES[comp]
-    entries = [Poly3.zero() for _ in range(9)]
-    entries[3 * i + j] = poly
-    entries[3 * j + i] = poly
+        return PolyVecField(polys)
+    entries = [None] * 9
+    for poly, (i, j) in zip(polys, _SYM_ENTRIES):
+        entries[3 * i + j] = entries[3 * j + i] = poly
     return PolyMatField(entries)
+
+
+def _component_field(kind, comp, poly):
+    """The field of `kind` with `poly` on component `comp`, zero elsewhere."""
+    polys = [Poly3() for _ in range(_KIND_COMPONENTS[kind])]
+    polys[comp] = poly
+    return _kind_field(kind, polys)
 
 
 def _space_from_degrees(kind, degrees, bc, vanish_order):
@@ -383,13 +393,7 @@ def _field_from_row(cols, vals, den, kind, nvar):
         a, m = divmod(m, nvar * nvar)
         b, c = divmod(m, nvar)
         nums[comp][(a, b, c)] = n
-    polys = [Poly3.from_num(num, den) for num in nums]
-    if kind == "vector":
-        return PolyVecField(polys)
-    entries = [None] * 9
-    for poly, (i, j) in zip(polys, _SYM_ENTRIES):
-        entries[3 * i + j] = entries[3 * j + i] = poly
-    return PolyMatField(entries)
+    return _kind_field(kind, [Poly3.from_num(num, den) for num in nums])
 
 
 def _space_rows(space, nvar):
@@ -500,6 +504,16 @@ def _grid_columns(ncomp, nvar, big):
     return (np.arange(ncomp)[:, None] * big**3 + mono).ravel()
 
 
+def _embedded_rows(nums, ncomp, nvar, big):
+    """The CSR rows `nums` of ncomp-component fields on the nvar grid, as
+    rows on the big grid.  The column map increases with the column, so each
+    row's indices stay sorted and the stored entries keep their order."""
+    indices = _grid_columns(ncomp, nvar, big)[nums.indices]
+    return sparse.csr_matrix(
+        (nums.data, indices, nums.indptr), shape=(nums.shape[0], ncomp * big**3)
+    )
+
+
 def _scaled_to_lowest_terms(rows, dens, shifts=None):
     """(rows', dens') with row i of the CSR matrix `rows` shifted left by
     shifts[i] (none when omitted) and then divided, with dens[i], by their
@@ -520,8 +534,9 @@ def _scaled_to_lowest_terms(rows, dens, shifts=None):
     return out, dens // g
 
 
-def _images(nums, dens, name, in_kind, nvar_in, nvar):
-    """Exact image rows of the fields nums[i] / dens[i] on the nvar grid.
+def _images(nums, dens, name, in_kind, nvar):
+    """Exact image rows of the fields nums[i] / dens[i], both on the nvar
+    grid.
 
     `nums` is a CSR matrix.  One sparse integer product with the operator
     matrix, after a check that no partial sum can reach 2^62; each image
@@ -529,7 +544,7 @@ def _images(nums, dens, name, in_kind, nvar_in, nvar):
     canonical CSR matrix, in which a zero image is an empty row, and the
     image denominators.
     """
-    D, den, l1 = _operator_matrix(name, in_kind, nvar_in)
+    D, den, l1 = _operator_matrix(name, in_kind, nvar)
     if nums.nnz and (
         int(np.abs(nums.data).max()) * l1 >= _COORD_LIMIT
         or int(dens.max()) * den >= _COORD_LIMIT
@@ -537,20 +552,6 @@ def _images(nums, dens, name, in_kind, nvar_in, nvar):
         raise AssemblyError("%s image coordinates exceed 62 bits" % name)
     out = nums @ D
     out.sort_indices()
-    if nvar_in > nvar:
-        # the nvar grid's columns within the larger grid, in increasing
-        # order, so the remap keeps each row's indices sorted
-        inside = _grid_columns(_KIND_COMPONENTS[_OPERATORS[name][0]], nvar, nvar_in)
-        column = np.full(out.shape[1], -1, dtype=out.indices.dtype)
-        column[inside] = np.arange(inside.size)
-        indices = column[out.indices]
-        if np.any(indices < 0):
-            raise AssemblyError(
-                "field exceeds the ambient degree bound %d" % (nvar - 1)
-            )
-        out = sparse.csr_matrix(
-            (out.data, indices, out.indptr), shape=(out.shape[0], inside.size)
-        )
     return _scaled_to_lowest_terms(out, dens * den)
 
 
@@ -949,20 +950,17 @@ def _normalized_level(kind, nums, dens, provenance, nvar):
     return level, ks
 
 
-def _assemble_level(prev_level, op_name, generators, nvar):
+def _assemble_level(prev_level, op_name, generators):
     """Build the next level from operator images plus generator fields.
 
     Returns (level, operator, stats): `level` spans the images of the
-    previous level's basis together with the generators; `operator` is the
-    exact matrix of the operator from the previous level into the new basis.
+    previous level's basis together with the generators, on the previous
+    level's grid; `operator` is the exact matrix of the operator from the
+    previous level into the new basis.
     """
+    nvar = prev_level.nvar
     nums, dens = _images(
-        prev_level.nums,
-        prev_level.dens,
-        op_name,
-        prev_level.kind,
-        prev_level.nvar,
-        nvar,
+        prev_level.nums, prev_level.dens, op_name, prev_level.kind, nvar
     )
     nonzero = np.flatnonzero(np.diff(nums.indptr)).tolist()
     cand_nums = sparse.vstack(
@@ -1257,7 +1255,7 @@ def _assemble_chain(p, bc):
     ops, stats = [], []
     for name, (kind, drop, order) in _GENERATORS.items():
         generators = _generator_space(kind, p - drop, bc, order)
-        level, op, s = _assemble_level(levels[-1], name, generators, nvar)
+        level, op, s = _assemble_level(levels[-1], name, generators)
         levels.append(level)
         ops.append(op)
         stats.append(s)
@@ -1299,22 +1297,25 @@ def _adjoin_potentials(ec, extras):
     """`ec` with the exact vector fields `extras` adjoined to V0.
 
     V1..V3, A1 and A2 are kept.  Level 0 becomes `ec`'s level-0 rows,
-    unchanged on the extras' grid, then the extras' rows, which alone are
-    normalised.  Each extra's image must be dependent on V1's generator
-    rows; its expansion over them is its A0 column.  Those rows are
-    independent of V1's image rows, so coefficient rows of rank len(extras)
-    certify rank A0 = rank of `ec`'s A0 + len(extras).
+    unchanged on the extras' grid (`_embedded_rows`), then the extras' rows,
+    which alone are normalised.  Each extra's image, on that grid, must be
+    dependent on V1's generator rows, embedded there the same way; its
+    expansion over them is its A0 column.  An image with a monomial beyond
+    V1's grid is therefore kept, outside their span.  The embedding keeps
+    the order of the columns, so the selection sees the columns it would
+    see on V1's grid.  Those rows are independent of V1's image rows, so
+    coefficient rows of rank len(extras) certify rank A0 = rank of `ec`'s
+    A0 + len(extras).
     """
     level0, level1 = ec.levels[0], ec.levels[1]
     nums, dens, nvar0 = _vector_rows(extras, level0.nvar)
     provenance = [("generator", level0.dim + e) for e in range(len(extras))]
     added, _ = _normalized_level("vector", nums, dens, provenance, nvar0)
-    nums, dens = _images(
-        added.nums, added.dens, "sym_grad", "vector", nvar0, level1.nvar
-    )
+    nums, dens = _images(added.nums, added.dens, "sym_grad", "vector", nvar0)
     gen = [pos for pos, prov in enumerate(level1.provenance) if prov[0] == "generator"]
+    gen_rows = _embedded_rows(level1.nums[gen], 6, level1.nvar, nvar0)
     kept, expansions, _ = _select_exact(
-        sparse.vstack([level1.nums[gen], nums], format="csr"),
+        sparse.vstack([gen_rows, nums], format="csr"),
         np.concatenate([level1.dens[gen], dens]),
         np.arange(len(gen) + len(extras)) >= len(gen),
     )
@@ -1331,19 +1332,8 @@ def _adjoin_potentials(ec, extras):
     )
     if len(_select_exact(added_a0.nums.T, added_a0.dens, None)[0]) < len(extras):
         raise AssemblyError("adjoined potentials with dependent images")
-    # the level-0 rows on the extras' grid: its columns increase with the
-    # small grid's, so each row's indices stay sorted
-    old, new = level0.nums, added.nums
-    nums = sparse.csr_matrix(
-        (
-            np.concatenate([old.data, new.data]),
-            np.concatenate(
-                [_grid_columns(3, level0.nvar, nvar0)[old.indices], new.indices]
-            ),
-            np.concatenate([old.indptr, new.indptr[1:] + old.nnz]),
-        ),
-        shape=(level0.dim + added.dim, 3 * nvar0**3),
-    )
+    old = _embedded_rows(level0.nums, 3, level0.nvar, nvar0)
+    nums = sparse.vstack([old, added.nums], format="csr")
     dens = np.concatenate([level0.dens, added.dens])
     _read_only(nums)
     dens.flags.writeable = False
@@ -1538,7 +1528,7 @@ def korn_constant(p, gt="none"):
     ones = np.ones(rows.shape[0], dtype=np.int64)
 
     def gram(name, kind):
-        nums, dens = _images(rows, ones, name, "vector", nvar, nvar)
+        nums, dens = _images(rows, ones, name, "vector", nvar)
         return _float_gram(_frame_rows(kind, nums, dens, nvar))
 
     K, M = gram("Grad", "matrix"), gram("sym_grad", "symmetric-tensor")

@@ -7,7 +7,10 @@ the main chains of the sixteen catalogue items, A17-A25 the conditional and
 "in particular" clauses split into their own cases, in order of appearance.
 ELA-CUT1 / ELA-CUT2 check the multiplication (cutting) rules for Div and
 rotrot_t, and ELA-SCHWARZ checks that both operators commute with mixed
-partial derivatives.
+partial derivatives.  Those cases build their clauses from the public
+helpers `leibniz_div`, `derive_psi` and `schwarz_check*`, the mutation scale
+t passed through, so the helpers the unit tests check are the code the
+suite runs.
 
 All checks are exact (rational arithmetic, zero tolerance) on seeded random
 polynomial inputs.  Every case carries a designated coefficient that a
@@ -17,7 +20,6 @@ printable counterexample.
 
 import json
 import random
-import time
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -33,9 +35,8 @@ from .poly_calculus import (
     grad,
     rot,
     rotrot_t,
-    sym_grad,
 )
-from .rational import Q, qstr
+from .rational import Q
 
 
 class UnknownIdentity(KeyError):
@@ -65,7 +66,6 @@ class VerificationReport:
     seed: int
     mutated: bool
     failures: list = field(default_factory=list)
-    elapsed: float = 0.0
 
     def to_dict(self):
         return {
@@ -109,37 +109,39 @@ def _trace_t(S, t):
     return e[0] + e[4] + e[8].scale(t)
 
 
-def leibniz_div(phi, T):
-    """Both sides of Div(phi T) = phi Div T + T grad phi."""
+def leibniz_div(phi, T, t=1):
+    """Both sides of Div(phi T) = phi Div T + T grad phi, the last term
+    scaled by t (t=1 gives the honest rule; ELA-CUT1 mutates t)."""
     lhs = Div(phi * T)
-    rhs = phi * Div(T) + T @ grad(phi)
+    rhs = phi * Div(T) + (T @ grad(phi)).scale(t)
     return lhs, rhs
 
 
-def derive_psi(phi, S):
+def derive_psi(phi, S, t=1):
     """Algebraic remainder of the product rule for rotrot_t.
 
     Defined as the residual
 
         psi = rotrot_t(phi S) - phi rotrot_t(S)
-              - 2 sym((spn grad phi) Rot S),
+              - 2 t sym((spn grad phi) Rot S),
 
-    which vanishes for affine phi and depends only on the Hessian of phi
-    and the pointwise value of S (checked by ELA-CUT2's oracles).
+    with t=1, which vanishes for affine phi and depends only on the Hessian
+    of phi and the pointwise value of S (checked by ELA-CUT2's oracles,
+    which mutate t).
     """
     main = rotrot_t(phi * S)
-    lower = phi * rotrot_t(S) + pc.sym(pc.spn(grad(phi)) @ Rot(S)).scale(2)
+    lower = phi * rotrot_t(S) + pc.sym(pc.spn(grad(phi)) @ Rot(S)).scale(2 * t)
     return main - lower
 
 
 def schwarz_check(alpha, S):
     """Both sides of rotrot_t(d^alpha S) = d^alpha rotrot_t(S)."""
-    return rotrot_t(pc.partial_mat(S, alpha)), pc.partial_mat(rotrot_t(S), alpha)
+    return rotrot_t(S.partial(alpha)), rotrot_t(S).partial(alpha)
 
 
 def schwarz_check_div(alpha, T):
     """Both sides of Div(d^alpha T) = d^alpha Div T."""
-    return Div(pc.partial_mat(T, alpha)), pc.partial_vec(Div(T), alpha)
+    return Div(T.partial(alpha)), Div(T).partial(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +440,7 @@ def _a25(ins, t):
 )
 def _cut1(ins, t):
     phi, T = ins
-    lhs = Div(phi * T)
-    rhs = phi * Div(T) + (T @ grad(phi)).scale(t)
-    return [("main", lhs, rhs)]
+    return [("main", *leibniz_div(phi, T, t))]
 
 
 @_case(
@@ -452,13 +452,6 @@ def _cut1(ins, t):
 )
 def _cut2(ins, t):
     phi, S = ins
-
-    def psi_t(p, M):
-        main = rotrot_t(p * M)
-        low = p * rotrot_t(M) + pc.sym(pc.spn(grad(p)) @ Rot(M)).scale(2 * t)
-        return main - low
-
-    # (a) affine cut-off: the remainder vanishes
     affine = Poly3(
         {
             (0, 0, 0): Q(1, 2),
@@ -467,22 +460,23 @@ def _cut2(ins, t):
             (0, 0, 1): Q(1, 3),
         }
     )
-    clause_a = ("affine-remainder", psi_t(affine, S), PolyMatField.zero())
-
-    # (b) adding an affine function to phi does not change the remainder
-    clause_b = ("hessian-only", psi_t(phi + affine, S), psi_t(phi, S))
-
-    # (c) linearity in the tensor slot
     S2 = pc.sym(
         PolyMatField(
             tuple(Poly3.monomial(1, 1, 0, Q(i - 4, 2)) for i in range(9))
         )
     )
-    lin_lhs = psi_t(phi, S.scale(Q(2)) + S2)
-    lin_rhs = psi_t(phi, S).scale(Q(2)) + psi_t(phi, S2)
-    clause_c = ("tensor-linearity", lin_lhs, lin_rhs)
-
-    return [clause_a, clause_b, clause_c]
+    return [
+        # (a) affine cut-off: the remainder vanishes
+        ("affine-remainder", derive_psi(affine, S, t), PolyMatField.zero()),
+        # (b) adding an affine function to phi does not change the remainder
+        ("hessian-only", derive_psi(phi + affine, S, t), derive_psi(phi, S, t)),
+        # (c) linearity in the tensor slot
+        (
+            "tensor-linearity",
+            derive_psi(phi, S.scale(Q(2)) + S2, t),
+            derive_psi(phi, S, t).scale(Q(2)) + derive_psi(phi, S2, t),
+        ),
+    ]
 
 
 @_case(
@@ -569,49 +563,31 @@ def run_identity(identity_id, trials=20, degree=3, seed=0, mutated=False):
         seed=seed,
         mutated=mutated,
     )
-    started = time.perf_counter()
     for trial in range(trials):
         inputs = tuple(_sample(k, rng, degree) for k in case.inputs)
+        # (clause, text before the inputs, text after them) per failure
         try:
             clauses = case.build(inputs, t)
         except Exception as exc:  # a mutated pipeline may break type rules
-            report.passed = False
-            report.failures.append(
-                {
-                    "trial": trial,
-                    "clause": "exception",
-                    "counterexample": "%s: %s; inputs: %s"
-                    % (
-                        type(exc).__name__,
-                        exc,
-                        "; ".join(
-                            _describe(k, x)
-                            for k, x in zip(case.inputs, inputs)
-                        ),
-                    ),
-                }
-            )
+            failed = [("exception", "%s: %s; " % (type(exc).__name__, exc), "")]
+        else:
+            failed = [
+                (label, "", " | residual: " + (lhs - rhs).canonical_text())
+                for label, lhs, rhs in clauses
+                if lhs != rhs
+            ]
+        if not failed:
             continue
-        for label, lhs, rhs in clauses:
-            if lhs == rhs:
-                continue
-            residual = lhs - rhs
-            report.passed = False
+        report.passed = False
+        described = "; ".join(_describe(k, x) for k, x in zip(case.inputs, inputs))
+        for label, head, tail in failed:
             report.failures.append(
                 {
                     "trial": trial,
                     "clause": label,
-                    "counterexample": "inputs: %s | residual: %s"
-                    % (
-                        "; ".join(
-                            _describe(k, x)
-                            for k, x in zip(case.inputs, inputs)
-                        ),
-                        residual.canonical_text(),
-                    ),
+                    "counterexample": head + "inputs: " + described + tail,
                 }
             )
-    report.elapsed = time.perf_counter() - started
     return report
 
 

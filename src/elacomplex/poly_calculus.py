@@ -7,6 +7,12 @@ Poly3 holds integer numerators over one common denominator in lowest terms
 (see the class), so each ring operation and derivative is integer
 arithmetic plus one gcd per result, not a Fraction per term.
 
+PolyVecField (3 components) and PolyMatField (9 entries, row-major) share
+one entrywise algebra, `_Field`: sum, difference, negation, scaling by a
+rational or a Poly3, equality, evaluation, degree and the mixed partial
+`partial(alpha)` of every entry.  Each class adds only what depends on its
+shape (indexing, rows, products, transpose, text form).
+
 The pointwise algebra acts at every point of a field; this is the package's
 only copy of it:
 
@@ -150,7 +156,7 @@ class Poly3:
                     else:
                         del out[e]
             return _poly(out, self.den * other.den)
-        if isinstance(other, (PolyVecField, PolyMatField)):
+        if isinstance(other, _Field):
             return NotImplemented
         return self.scale(other)
 
@@ -217,11 +223,6 @@ class Poly3:
             return -1
         return max(a + b + c for (a, b, c) in self.num)
 
-    def degrees_per_var(self):
-        if not self.num:
-            return (-1, -1, -1)
-        return tuple(max(e[i] for e in self.num) for i in range(3))
-
     def canonical_text(self):
         """Deterministic text form: terms sorted by (total degree, exponents),
         highest first, each as 'coef * x^a y^b z^c'."""
@@ -243,117 +244,112 @@ class Poly3:
         return "Poly3<%s>" % self.canonical_text()
 
 
-def _zero3():
-    return (Poly3(), Poly3(), Poly3())
+class _Field:
+    """The entrywise algebra of a field of Poly3 values.
 
+    `parts` is the tuple of `_size` entries; every operation here acts on
+    each entry alone, so `PolyVecField` and `PolyMatField` share one
+    definition of it and keep only what depends on their shape.
+    """
 
-class PolyVecField:
-    """Vector field with three Poly3 components."""
+    __slots__ = ("parts",)
 
-    __slots__ = ("comps",)
-
-    def __init__(self, comps):
-        t = tuple(comps)
-        if len(t) != 3:
-            raise ValueError("PolyVecField needs 3 components")
-        self.comps = t
+    def __init__(self, parts):
+        t = tuple(parts)
+        if len(t) != self._size:
+            raise ValueError(
+                "%s needs %d %s" % (type(self).__name__, self._size, self._noun)
+            )
+        self.parts = t
 
     @classmethod
     def zero(cls):
-        return cls(_zero3())
-
-    def __getitem__(self, i):
-        return self.comps[i]
-
-    def __iter__(self):
-        return iter(self.comps)
+        return cls(Poly3() for _ in range(cls._size))
 
     def __add__(self, other):
-        return PolyVecField(a + b for a, b in zip(self.comps, other.comps))
+        return type(self)(a + b for a, b in zip(self.parts, other.parts))
 
     def __sub__(self, other):
-        return PolyVecField(a - b for a, b in zip(self.comps, other.comps))
+        return type(self)(a - b for a, b in zip(self.parts, other.parts))
 
     def __neg__(self):
-        return PolyVecField(-a for a in self.comps)
+        return type(self)(-a for a in self.parts)
 
     def scale(self, c):
-        return PolyVecField(a.scale(c) for a in self.comps)
+        return type(self)(a.scale(c) for a in self.parts)
 
     def __rmul__(self, c):
         if isinstance(c, Poly3):
-            return PolyVecField(c * a for a in self.comps)
+            return type(self)(c * a for a in self.parts)
         return self.scale(c)
 
     def __eq__(self, other):
-        return isinstance(other, PolyVecField) and self.comps == other.comps
+        return isinstance(other, type(self)) and self.parts == other.parts
 
     def is_zero(self):
-        return all(p.is_zero() for p in self.comps)
+        return all(p.is_zero() for p in self.parts)
 
-    def dot(self, other):
-        return sum((a * b for a, b in zip(self.comps, other.comps)), Poly3())
+    def partial(self, alpha):
+        """The mixed partial d^alpha of every entry."""
+        return type(self)(p.partial(alpha) for p in self.parts)
 
     def eval(self, point):
-        return tuple(p.eval(point) for p in self.comps)
+        return tuple(p.eval(point) for p in self.parts)
 
     def total_degree(self):
-        return max(p.total_degree() for p in self.comps)
-
-    def canonical_text(self):
-        return "(" + "; ".join(p.canonical_text() for p in self.comps) + ")"
+        return max(p.total_degree() for p in self.parts)
 
     def __repr__(self):
-        return "PolyVecField%s" % self.canonical_text()
+        return "%s%s" % (type(self).__name__, self.canonical_text())
 
 
-class PolyMatField:
+class PolyVecField(_Field):
+    """Vector field with three Poly3 components."""
+
+    __slots__ = ()
+    _size, _noun = 3, "components"
+
+    @property
+    def comps(self):
+        return self.parts
+
+    def __getitem__(self, i):
+        return self.parts[i]
+
+    def __iter__(self):
+        return iter(self.parts)
+
+    def dot(self, other):
+        return sum((a * b for a, b in zip(self.parts, other.parts)), Poly3())
+
+    def canonical_text(self):
+        return "(" + "; ".join(p.canonical_text() for p in self.parts) + ")"
+
+
+class PolyMatField(_Field):
     """3x3 matrix field, row-major tuple of nine Poly3 entries."""
 
-    __slots__ = ("entries",)
+    __slots__ = ()
+    _size, _noun = 9, "entries"
 
-    def __init__(self, entries):
-        t = tuple(entries)
-        if len(t) != 9:
-            raise ValueError("PolyMatField needs 9 entries")
-        self.entries = t
-
-    @classmethod
-    def zero(cls):
-        return cls(tuple(Poly3() for _ in range(9)))
+    @property
+    def entries(self):
+        return self.parts
 
     @classmethod
     def from_rows(cls, r0, r1, r2):
-        return cls(tuple(r0.comps) + tuple(r1.comps) + tuple(r2.comps))
+        return cls(r0.parts + r1.parts + r2.parts)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[3 * i + j]
+        return self.parts[3 * i + j]
 
     def row(self, i):
-        return PolyVecField(self.entries[3 * i : 3 * i + 3])
+        return PolyVecField(self.parts[3 * i : 3 * i + 3])
 
     def col(self, j):
-        return PolyVecField(
-            (self.entries[j], self.entries[3 + j], self.entries[6 + j])
-        )
-
-    def __add__(self, other):
-        return PolyMatField(a + b for a, b in zip(self.entries, other.entries))
-
-    def __sub__(self, other):
-        return PolyMatField(a - b for a, b in zip(self.entries, other.entries))
-
-    def __neg__(self):
-        return PolyMatField(-a for a in self.entries)
-
-    def scale(self, c):
-        return PolyMatField(a.scale(c) for a in self.entries)
-
-    def __rmul__(self, c):
-        if isinstance(c, Poly3):
-            return PolyMatField(c * a for a in self.entries)
-        return self.scale(c)
+        e = self.parts
+        return PolyVecField((e[j], e[3 + j], e[6 + j]))
 
     def __matmul__(self, other):
         if isinstance(other, PolyVecField):
@@ -367,39 +363,22 @@ class PolyMatField:
         return NotImplemented
 
     def transpose(self):
-        e = self.entries
+        e = self.parts
         return PolyMatField((e[0], e[3], e[6], e[1], e[4], e[7], e[2], e[5], e[8]))
 
-    def __eq__(self, other):
-        return isinstance(other, PolyMatField) and self.entries == other.entries
-
-    def is_zero(self):
-        return all(p.is_zero() for p in self.entries)
-
     def is_symmetric(self):
-        e = self.entries
+        e = self.parts
         return e[1] == e[3] and e[2] == e[6] and e[5] == e[7]
-
-    def eval(self, point):
-        return tuple(p.eval(point) for p in self.entries)
-
-    def total_degree(self):
-        return max(p.total_degree() for p in self.entries)
 
     def canonical_text(self):
         rows = []
         for i in range(3):
             rows.append(
                 "["
-                + "; ".join(
-                    self.entries[3 * i + j].canonical_text() for j in range(3)
-                )
+                + "; ".join(self.parts[3 * i + j].canonical_text() for j in range(3))
                 + "]"
             )
         return "[" + " ".join(rows) + "]"
-
-    def __repr__(self):
-        return "PolyMatField%s" % self.canonical_text()
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +429,7 @@ class NotSkew(ValueError):
 
 
 def sym(S):
-    e = S.entries
+    e = S.parts
     h = Q(1, 2)
     s01 = (e[1] + e[3]).scale(h)
     s02 = (e[2] + e[6]).scale(h)
@@ -459,7 +438,7 @@ def sym(S):
 
 
 def skw(S):
-    e = S.entries
+    e = S.parts
     h = Q(1, 2)
     a = (e[1] - e[3]).scale(h)
     b = (e[2] - e[6]).scale(h)
@@ -469,13 +448,13 @@ def skw(S):
 
 
 def trace(S):
-    e = S.entries
+    e = S.parts
     return e[0] + e[4] + e[8]
 
 
 def dev(S):
     t = trace(S).scale(Q(1, 3))
-    e = S.entries
+    e = S.parts
     return PolyMatField(
         (e[0] - t, e[1], e[2], e[3], e[4] - t, e[5], e[6], e[7], e[8] - t)
     )
@@ -483,13 +462,13 @@ def dev(S):
 
 def spn(v):
     z = Poly3()
-    a1, a2, a3 = v.comps
+    a1, a2, a3 = v.parts
     return PolyMatField((z, -a3, a2, a3, z, -a1, -a2, a1, z))
 
 
 def spn_inv(S):
     """Axial vector field of an exactly skew matrix field."""
-    e = S.entries
+    e = S.parts
     if not (
         e[0].is_zero()
         and e[4].is_zero()
@@ -503,8 +482,8 @@ def spn_inv(S):
 
 
 def cross(v, w):
-    a1, a2, a3 = v.comps
-    b1, b2, b3 = w.comps
+    a1, a2, a3 = v.parts
+    b1, b2, b3 = w.parts
     return PolyVecField(
         (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
     )
@@ -528,29 +507,6 @@ def sym_grad(v):
 def rotrot_t(S):
     """Second-order operator Rot((Rot S)^T); maps symmetric to symmetric."""
     return Rot(Rot(S).transpose())
-
-
-def symgrad_then_rotrot(v):
-    """Complex property residual: identically zero for every vector field."""
-    return rotrot_t(sym_grad(v))
-
-
-def rotrot_then_div(S):
-    """Complex property residual: identically zero for every matrix field."""
-    return Div(rotrot_t(S))
-
-
-def hessian(f):
-    """Grad grad f (symmetric 3x3 field of second partials)."""
-    return Grad(grad(f))
-
-
-def partial_vec(v, alpha):
-    return PolyVecField(p.partial(alpha) for p in v.comps)
-
-
-def partial_mat(S, alpha):
-    return PolyMatField(p.partial(alpha) for p in S.entries)
 
 
 # ---------------------------------------------------------------------------

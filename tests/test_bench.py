@@ -8,17 +8,21 @@ each level's rows, and times `float_grams`, the float cohomology,
 `complex_constants` and `korn_constant` after the build.  A rename
 there breaks no other test but empties or breaks the benchmark's
 counters, so cold p=4 runs of the child run here.
+
+`benchmarks/loc.py`, the code-line counter that CHANGES.md quotes, is
+checked on a small module.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_bench():
+def _load_bench(name="bench"):
     spec = importlib.util.spec_from_file_location(
-        "benchmarks_bench", ROOT / "benchmarks" / "bench.py"
+        "benchmarks_" + name, ROOT / "benchmarks" / (name + ".py")
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -57,3 +61,43 @@ def test_child_counts_norm_fallback_rows():
 
 def test_spread_is_min_median_max():
     assert _load_bench().spread([0.3, 0.1004, 0.2, 0.9]) == [0.1, 0.25, 0.9]
+
+
+# a docstring, comments and blank lines are not code; each line of a
+# statement over several lines is, and so is a string that is no docstring
+_MODULE = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment after code
+
+
+# a comment line
+def f(a, b):
+    """Function docstring."""
+
+    return max(
+        a,  # inside a call
+        b,
+    )
+
+
+class C:
+    """Class docstring."""
+
+    text = """not a
+docstring"""
+'''
+
+
+def test_loc_counts_code_lines_only(tmp_path, capsys):
+    loc = _load_bench("loc")
+    # import; def; the four lines of the call; class; the two string lines
+    assert loc.code_lines(_MODULE) == 9
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(_MODULE)
+    (tmp_path / "b.py").write_text("x = 1\n\n# done\n")
+    tree = str(tmp_path)
+    expected = {"modules": {"b.py": 1, "pkg/a.py": 9}, "total": 10}
+    assert loc.count_tree(tree) == expected
+    loc.main([tree])
+    assert json.loads(capsys.readouterr().out) == {tree: expected}

@@ -477,7 +477,7 @@ def test_float_grams_and_korn_grams_match_one_shot_dense_rows(monkeypatch):
     ones = np.ones(rows.shape[0], dtype=np.int64)
     assert len(seen) == 2
     for G, name in zip(seen, ("Grad", "sym_grad")):
-        nums, dens = ea._images(rows, ones, name, "vector", nvar, nvar)
+        nums, dens = ea._images(rows, ones, name, "vector", nvar)
         _assert_frame_path_is_one_shot(ea._OPERATORS[name][0], nums, dens, nvar, G)
 
 
@@ -500,7 +500,7 @@ def _normalization_inputs(monkeypatch, p, gt):
         ones = np.ones(rows.shape[0], dtype=np.int64)
         inputs = [("vector", rows, ones, nvar)]
         for name in ("Grad", "sym_grad"):
-            nums, dens = ea._images(rows, ones, name, "vector", nvar, nvar)
+            nums, dens = ea._images(rows, ones, name, "vector", nvar)
             inputs.append((ea._OPERATORS[name][0], nums, dens, nvar))
         return inputs
     inputs = []
@@ -894,7 +894,7 @@ def test_operator_matrices_agree_with_poly_calculus(name, in_kind, op_fun, nvar)
     with pytest.raises(ValueError):
         D.data[0] = 1
     fields = _random_fields(in_kind, nvar - 1, seed=nvar)
-    nums, dens = ea._images(*_rows(fields, in_kind, nvar), name, in_kind, nvar, nvar)
+    nums, dens = ea._images(*_rows(fields, in_kind, nvar), name, in_kind, nvar)
     expected = [_exact_coords(op_fun(f), out_kind, nvar) for f in fields]
     assert _as_coords(nums.toarray(), dens) == expected
     # each image row is in least-denominator form, as _integer_rows gives it
@@ -973,25 +973,59 @@ def test_operator_with_a_lower_order_term_is_an_assembly_error(
 
 
 def test_operator_matrix_from_a_larger_grid():
-    fields = _random_fields("vector", 4, seed=11)
-    nums, dens = ea._images(*_rows(fields, "vector", 7), "sym_grad", "vector", 7, 5)
-    expected = [
-        _exact_coords(pc.sym_grad(f), "symmetric-tensor", 5) for f in fields
+    # the images of embedded rows, by the larger grid's operator, are the
+    # embedded images: the embedding commutes with every grid operator
+    for name, in_kind, op_fun in (case.values for case in _OPERATOR_CASES):
+        out_kind = ea._OPERATORS[name][0]
+        ncomp = ea._KIND_COMPONENTS[in_kind]
+        out_ncomp = ea._KIND_COMPONENTS[out_kind]
+        fields = _random_fields(in_kind, 4, seed=11)
+        nums, dens = _rows(fields, in_kind, 5)
+        small = ea._images(nums, dens, name, in_kind, 5)
+        rows = ea._embedded_rows(nums, ncomp, 5, 7)
+        big = ea._images(rows, dens, name, in_kind, 7)
+        embedded = ea._embedded_rows(small[0], out_ncomp, 5, 7)
+        assert big[0].shape == embedded.shape == (len(fields), out_ncomp * 7**3)
+        assert np.array_equal(big[0].toarray(), embedded.toarray())
+        assert np.array_equal(big[1], small[1])
+        expected = [_exact_coords(op_fun(f), out_kind, 7) for f in fields]
+        assert _as_coords(big[0].toarray(), big[1]) == expected
+
+
+@pytest.mark.parametrize("kind", ["vector", "symmetric-tensor"])
+@pytest.mark.parametrize("nvar,big", [(1, 2), (3, 3), (3, 5), (5, 7)])
+def test_embedded_rows_round_trip(kind, nvar, big):
+    ncomp = ea._KIND_COMPONENTS[kind]
+    fields = _random_fields(kind, nvar - 1, seed=nvar + big) + [
+        _random_fields(kind, 0, seed=0, count=1)[0].scale(0)
     ]
-    assert nums.shape[1] == 6 * 5**3
-    assert _as_coords(nums.toarray(), dens) == expected
+    nums, dens = _rows(fields, kind, nvar)
+    out = ea._embedded_rows(nums, ncomp, nvar, big)
+    assert out.shape == (nums.shape[0], ncomp * big**3)
+    # the same stored entries, in the same order, with increasing columns
+    assert out.has_canonical_format and out.nnz == nums.nnz
+    assert np.array_equal(out.data, nums.data)
+    assert np.array_equal(out.indptr, nums.indptr)
+    # back: the small grid's columns of the embedded rows are the rows
+    inside = ea._grid_columns(ncomp, nvar, big)
+    assert np.array_equal(out[:, inside].toarray(), nums.toarray())
+    for i, f in enumerate(fields):
+        lo, hi = out.indptr[i], out.indptr[i + 1]
+        row = (out.indices[lo:hi], out.data[lo:hi], int(dens[i]), kind, big)
+        assert ea._field_from_row(*row) == f
+        coords = _as_coords(out[i].toarray(), dens[i : i + 1])[0]
+        assert coords == _exact_coords(f, kind, big)
 
 
 def test_image_outside_the_grid_is_an_assembly_error():
+    # an adjoined V0 field of too high degree: its image, on the extras'
+    # grid, has a monomial no V1 generator row has, so it is kept
     x = Poly3.variable(0)
     high = PolyVecField([x * x * x * x * x * x, Poly3.zero(), Poly3.zero()])
-    rows = _rows([high], "vector", 7)
-    with pytest.raises(ea.AssemblyError, match="ambient degree bound 4"):
-        ea._images(*rows, "sym_grad", "vector", 7, 5)
-    # the same path through the enlargement: an adjoined V0 field of too
-    # high degree
     first = ea._assemble_chain(4, ea.BoundarySelection.parse("all"))
-    with pytest.raises(ea.AssemblyError, match="ambient degree bound 4"):
+    with pytest.raises(
+        ea.AssemblyError, match="outside the span of the V1 generators"
+    ):
         ea._adjoin_potentials(first, [high])
 
 
@@ -1048,6 +1082,10 @@ def test_adjoining_potentials_enlarges_only_level_0(complexes_p4, gt):
     n0 = old0.dim
     assert new0.dim == n0 + added and new0.nvar == old0.nvar + 1
     inside = ea._grid_columns(3, old0.nvar, new0.nvar)
+    assert np.array_equal(
+        new0.nums[:n0].toarray(),
+        ea._embedded_rows(old0.nums, 3, old0.nvar, new0.nvar).toarray(),
+    )
     assert np.array_equal(new0.nums[:n0][:, inside].toarray(), old0.nums.toarray())
     assert new0.nums[:n0].count_nonzero() == old0.nums.count_nonzero()
     assert np.array_equal(new0.dens[:n0], old0.dens)
@@ -1075,9 +1113,9 @@ def test_image_product_guard_is_an_assembly_error():
     nums[1, 7] = (2**62 - 1) // l1 + 1  # max|nums| * L1 reaches 2^62
     dens = np.ones(2, dtype=np.int64)
     with pytest.raises(ea.AssemblyError, match="exceed 62 bits"):
-        ea._images(sparse.csr_matrix(nums), dens, "rotrot_t", "symmetric-tensor", 5, 5)
+        ea._images(sparse.csr_matrix(nums), dens, "rotrot_t", "symmetric-tensor", 5)
     nums[1, 7] -= 1  # just below the bound the product runs
-    ea._images(sparse.csr_matrix(nums), dens, "rotrot_t", "symmetric-tensor", 5, 5)
+    ea._images(sparse.csr_matrix(nums), dens, "rotrot_t", "symmetric-tensor", 5)
 
 
 # --- exact operators ------------------------------------------------------------

@@ -121,6 +121,31 @@ def test_psi_pointwise_in_tensor_slot():
     assert a == b
 
 
+@pytest.mark.parametrize("mutated", [False, True])
+def test_cut_cases_run_the_tested_helpers(monkeypatch, mutated):
+    # ELA-CUT1/2 build their clauses from leibniz_div/derive_psi, passing
+    # the case's mutation scale, so the oracles above check the suite's code
+    t = ids.MUTATION_FACTOR if mutated else Q(1)
+    calls = []
+    for name in ("leibniz_div", "derive_psi"):
+        real = getattr(ids, name)
+
+        def spy(*args, _name=name, _real=real):
+            calls.append((_name, args[2:]))
+            return _real(*args)
+
+        monkeypatch.setattr(ids, name, spy)
+    trials = 2
+    for case, helper, per_trial in (
+        ("ELA-CUT1", "leibniz_div", 1),
+        ("ELA-CUT2", "derive_psi", 6),
+    ):
+        calls.clear()
+        rep = ids.run_identity(case, trials=trials, degree=2, seed=4, mutated=mutated)
+        assert rep.passed is not mutated
+        assert calls == [(helper, (t,))] * (per_trial * trials)
+
+
 def test_schwarz_commutation_explicit_alphas():
     rng = random.Random(41)
     S = pc.sym(pc.random_mat_field(rng, 5))
