@@ -335,11 +335,9 @@ def _load_fixture(cfg):
         return path.stem, fa.FiniteComplex.from_json_dict(data)
     except KeyError as exc:
         raise ConfigError("fixture misses required field %s" % exc)
-    except fa.NotSPD:
-        raise  # verification failure: a Gram that is not SPD
+    except (fa.NotSPD, fa.NotAComplex):
+        raise  # verification failure: a Gram not SPD, or A_{i+1} A_i != 0
     except fa.DimensionMismatch as exc:
-        if "complex property" in str(exc):
-            raise  # verification failure: reported with the composite norm
         raise ConfigError("invalid fixture: %s" % exc)
     except (TypeError, ValueError) as exc:
         raise ConfigError("invalid fixture: %s" % exc)

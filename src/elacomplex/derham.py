@@ -15,7 +15,7 @@ Cell sets for the shipped fixtures: a solid box (Betti 1, 0, 0) and a one
 import numpy as np
 
 from . import exactlin
-from .fa_toolbox import FiniteComplex
+from .fa_toolbox import FiniteComplex, NotAComplex
 
 _AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -58,9 +58,18 @@ def build_cubical(cells):
     Orientation conventions: edges point along the positive axes; a face
     with normal axis n is oriented by the ordered pair of the remaining
     axes (cyclic: x->(y,z), y->(z,x), z->(x,y)); cells take outward-normal
-    signs.  These make d1 d0 = 0 and d2 d1 = 0 exactly, which the
-    constructor asserts on the integer matrices.
+    signs.  These make d1 d0 = 0 and d2 d1 = 0 exactly, which is checked
+    on the integer matrices (NotAComplex otherwise, also under python -O).
     """
+    ds, entities = _incidence(cells)
+    for i in (1, 2):
+        if np.any(ds[i] @ ds[i - 1]):
+            raise NotAComplex("d%d d%d != 0" % (i, i - 1))
+    return ds, entities
+
+
+def _incidence(cells):
+    """The unchecked (d0, d1, d2) and entity lists of `build_cubical`."""
     cells = sorted(set(tuple(c) for c in cells))
     if not cells:
         raise ValueError("empty cell set")
@@ -96,8 +105,6 @@ def build_cubical(cells):
             d2[row, fi[(upper, normal)]] += 1
             d2[row, fi[(lower, normal)]] -= 1
 
-    assert not np.any(d1 @ d0), "d1 d0 != 0"
-    assert not np.any(d2 @ d1), "d2 d1 != 0"
     return (d0, d1, d2), (verts, edges, faces, cells)
 
 

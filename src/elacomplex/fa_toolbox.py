@@ -2,13 +2,16 @@
 
 Works on a chain of four weighted inner-product spaces
 
-    H0 --A0--> H1 --A1--> H2 --A2--> H3
+    0 --> H0 --A0--> H1 --A1--> H2 --A2--> H3 --> 0
 
-given by dense operator matrices and SPD Gram matrices.  Provides weighted
-adjoints, kernel/cohomology bases, Helmholtz decompositions, Poincare
-constants with extremal vectors, reduced (pseudo-)inverses, regular
-decomposition operators, and the kernel-projector identities used for
-pre-basis validation.
+given by dense operator matrices and SPD Gram matrices.  The chain is
+padded with zero spaces and zero maps at both ends, so every routine takes
+the end levels, and their empty operators, on its normal path: numpy's
+SVD, Cholesky and triangular solves accept 0 x n, n x 0 and 0 x 0 arrays.
+Provides weighted adjoints, kernel/cohomology bases, Helmholtz
+decompositions, Poincare constants with extremal vectors, reduced
+(pseudo-)inverses, regular decomposition operators, and the
+kernel-projector identities used for pre-basis validation.
 
 All computations are float64; ranks are decided by a relative singular
 value tolerance.  The weights (e.g. elasticity's epsilon and mu) are the
@@ -30,6 +33,10 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 class DimensionMismatch(ValueError):
     pass
+
+
+class NotAComplex(DimensionMismatch):
+    """Consecutive operators fail to compose to zero."""
 
 
 class NotSPD(ValueError):
@@ -62,7 +69,12 @@ def default_rank_tol(shape, smax):
 
 def _used_tol(shape, s, tol):
     """`tol`, or the default for the singular values s of a `shape` matrix."""
-    return default_rank_tol(shape, s[0] if s.size else 0.0) if tol is None else tol
+    return default_rank_tol(shape, s.max(initial=0.0)) if tol is None else tol
+
+
+def _max_abs(M):
+    """max |M|, 0.0 for an empty M."""
+    return float(np.abs(M).max(initial=0.0))
 
 
 class InnerProduct:
@@ -91,7 +103,7 @@ class InnerProduct:
         G = np.asarray(gram, dtype=np.float64)
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise DimensionMismatch("Gram matrix must be square")
-        if G.size and not np.allclose(G, G.T, rtol=1e-10, atol=1e-12):
+        if not np.allclose(G, G.T, rtol=1e-10, atol=1e-12):
             raise NotSPD("Gram matrix is not symmetric")
         G = 0.5 * (G + G.T)
         self.G = G
@@ -180,7 +192,9 @@ def random_spd(n, rng):
 class FiniteComplex:
     """Immutable chain H0 -> H1 -> H2 -> H3 with SPD Grams on every level.
 
-    Consecutive operators must compose to at most 1e-12 in every entry.
+    Consecutive operators must compose to at most 1e-12 in every entry, or
+    NotAComplex is raised.  Beyond the chain ends, `gram` gives
+    0-dimensional spaces and `op` zero maps.
     """
 
     def __init__(self, grams, operators):
@@ -199,10 +213,9 @@ class FiniteComplex:
                 )
         self._composition_norms = []
         for i in range(len(self.operators) - 1):
-            comp = self.operators[i + 1] @ self.operators[i]
-            m = float(np.max(np.abs(comp))) if comp.size else 0.0
+            m = _max_abs(self.operators[i + 1] @ self.operators[i])
             if m > 1e-12:
-                raise DimensionMismatch(
+                raise NotAComplex(
                     "complex property violated at level %d: |A%dA%d|_max = %g"
                     % (i + 1, i + 1, i, m)
                 )
@@ -213,15 +226,14 @@ class FiniteComplex:
         return [s.dim for s in self.spaces]
 
     def gram(self, n):
-        return self.spaces[n]
+        """H_n, with 0-dimensional spaces beyond the chain ends."""
+        return self.spaces[n] if 0 <= n < len(self.spaces) else _ZERO_SPACE
 
     def op(self, n):
         """A_n, with zero maps beyond the chain ends."""
         if 0 <= n < len(self.operators):
             return self.operators[n]
-        if n < 0:
-            return np.zeros((self.spaces[0].dim, 0))
-        return np.zeros((0, self.spaces[-1].dim))
+        return np.zeros((self.gram(n + 1).dim, self.gram(n).dim))
 
     def composition_norms(self):
         """max |A_{i+1} A_i| for each consecutive pair, as checked on entry."""
@@ -250,6 +262,9 @@ class FiniteComplex:
         return cls(grams, ops)
 
 
+_ZERO_SPACE = InnerProduct.identity(0)
+
+
 def adjoint(A, g_dom, g_cod):
     """Weighted adjoint: <A x, y>_cod = <x, A* y>_dom for all x, y."""
     A = np.asarray(A, dtype=np.float64)
@@ -257,19 +272,13 @@ def adjoint(A, g_dom, g_cod):
         raise DimensionMismatch(
             "A is %r but Grams give (%d, %d)" % (A.shape, g_cod.dim, g_dom.dim)
         )
-    if g_dom.dim == 0 or g_cod.dim == 0:
-        return A.T.copy()
     # a copy in A.T's order: identity Grams return their argument
     return g_dom.solve_gram(g_cod.times_gram(A.T.copy(order="K")))
 
 
 def kernel_basis(A, g, tol=None):
     """G-orthonormal basis of N(A), columns of the returned matrix."""
-    A = np.asarray(A, dtype=np.float64)
-    n = g.dim
-    if not A.size:
-        A = np.zeros((1, n))
-    At = g.transformed(A)
+    At = g.transformed(np.asarray(A, dtype=np.float64))
     U, s, Vt = np.linalg.svd(At, full_matrices=True)
     r = int(np.sum(s > _used_tol(At.shape, s, tol)))
     # orthonormal kernel in transformed coordinates; a copy, not a view of Vt
@@ -279,18 +288,14 @@ def kernel_basis(A, g, tol=None):
 
 def rank_of(A, g_dom, g_cod):
     At = g_dom.transformed(np.asarray(A, dtype=np.float64))
-    s = np.linalg.svd(At, compute_uv=False) if At.size else np.array([])
+    s = np.linalg.svd(At, compute_uv=False)
     return int(np.sum(s > _used_tol(At.shape, s, None)))
 
 
 def _harmonic_constraints(cx, n):
     """Rows whose common kernel is N(A_n) ∩ N(A_{n-1}*) at level n."""
-    g, A_n, A_prev = cx.gram(n), cx.op(n), cx.op(n - 1)
-    empty = np.zeros((1, g.dim))
     # N(A_{n-1}*) = N(A_{n-1}^T G_n): no inverse Gram needed for the kernel
-    return np.vstack(
-        [A_n if A_n.size else empty, g.times_gram(A_prev.T) if A_prev.size else empty]
-    )
+    return np.vstack([cx.op(n), cx.gram(n).times_gram(cx.op(n - 1).T)])
 
 
 class CohomologyReport:
@@ -341,7 +346,7 @@ def cohomology(cx, n, tol=None):
     if key not in cx._cache:
         g = cx.gram(n)
         At = g.transformed(_harmonic_constraints(cx, n))
-        s = np.linalg.svd(At, compute_uv=False) if At.size else np.array([])
+        s = np.linalg.svd(At, compute_uv=False)
         used_tol = _used_tol(At.shape, s, tol)
         cx._cache[key] = (g.dim - int(np.sum(s > used_tol)), used_tol)
     dimension, used_tol = cx._cache[key]
@@ -363,14 +368,6 @@ class HelmholtzResult:
     pairings: dict
     residual: float
     kernel_residuals: tuple  # (|A_n x_harm|, |A_{n-1}* x_harm|), op-relative
-
-
-def _operator_scales(A_prev, A_n, g):
-    """max|A_n| and max|A_{n-1}^T G_n|: the scales of Helmholtz's kernel
-    residuals."""
-    op_a = float(np.max(np.abs(A_n))) if A_n.size else 0.0
-    op_b = float(np.max(np.abs(g.times_gram(A_prev.T)))) if A_prev.size else 0.0
-    return op_a, op_b
 
 
 def helmholtz(x, cx, n, tol=1e-10):
@@ -396,20 +393,17 @@ def helmholtz(x, cx, n, tol=1e-10):
     if key not in cx._cache:
         def ortho_range(M):
             # orthonormal basis (in transformed coordinates) of span(L^T M)
-            if not M.size:
-                return np.zeros((g.dim, 0))
             Mt = g.to_orthonormal(M)
             U, s, _ = np.linalg.svd(Mt, full_matrices=False)
             r = int(np.sum(s > _used_tol(Mt.shape, s, None)))
             return U[:, :r]
 
-        astar = (
-            adjoint(A_n, g, cx.gram(n + 1)) if A_n.size else np.zeros((g.dim, 0))
-        )
         cx._cache[key] = (
             ortho_range(A_prev),
-            ortho_range(astar),
-            *_operator_scales(A_prev, A_n, g),
+            ortho_range(adjoint(A_n, g, cx.gram(n + 1))),
+            # the scales of the kernel residuals: max|A_n|, max|A_{n-1}^T G_n|
+            _max_abs(A_n),
+            _max_abs(g.times_gram(A_prev.T)),
         )
     q_range, q_costar, op_a, op_b = cx._cache[key]
 
@@ -421,10 +415,8 @@ def helmholtz(x, cx, n, tol=1e-10):
     # reported for callers to assert at their own tolerance; only a gross
     # inconsistency (wrong adjoint or Gram) raises here.
     e2 = max(float(np.linalg.norm(x)), 1.0e-300)
-    res_a = float(np.max(np.abs(A_n @ x_harm))) if A_n.size else 0.0
-    res_b = (
-        float(np.max(np.abs(A_prev.T @ g.apply_gram(x_harm)))) if A_prev.size else 0.0
-    )
+    res_a = _max_abs(A_n @ x_harm)
+    res_b = _max_abs(A_prev.T @ g.apply_gram(x_harm))
     kernel_residuals = (
         res_a / max(1.0, op_a * e2),
         res_b / max(1.0, op_b * e2),
@@ -519,17 +511,15 @@ def mixed_estimate_check(x, cx, c0, c1):
     """|x|_e^2 <= c1^2 |A1 x|_mu^2 + c0^2 |A0* x|^2 for x perp Harm at n=1."""
     g1 = cx.gram(1)
     x = np.asarray(x, dtype=np.float64)
-    H = cohomology(cx, 1).basis
-    if H.size:
-        coef = H.T @ g1.apply_gram(x)
-        if np.linalg.norm(coef) > 1e-8 * max(g1.norm(x), 1e-300):
-            raise NotOrthogonalToHarmonics(
-                "harmonic component %g" % float(np.linalg.norm(coef))
-            )
+    coef = cohomology(cx, 1).basis.T @ g1.apply_gram(x)
+    if np.linalg.norm(coef) > 1e-8 * max(g1.norm(x), 1e-300):
+        raise NotOrthogonalToHarmonics(
+            "harmonic component %g" % float(np.linalg.norm(coef))
+        )
     a0s = adjoint(cx.op(0), cx.gram(0), g1)
     lhs = g1.inner(x, x)
-    t1 = cx.gram(2).inner(cx.op(1) @ x, cx.op(1) @ x) if cx.op(1).size else 0.0
-    t2 = cx.gram(0).inner(a0s @ x, a0s @ x) if a0s.size else 0.0
+    t1 = cx.gram(2).inner(cx.op(1) @ x, cx.op(1) @ x)
+    t2 = cx.gram(0).inner(a0s @ x, a0s @ x)
     rhs = c1 * c1 * t1 + c0 * c0 * t2
     slack = rhs - lhs
     holds = lhs <= rhs * (1.0 + 1e-10) + 1e-12
@@ -561,52 +551,43 @@ class DecompositionOperators:
 
     def two_term_defect(self, A_prev):
         """max |Q1 + A_{n-1} Q0 - id|; zero iff trivial cohomology at n."""
-        n = self.q1.shape[0]
-        M = self.q1 + (A_prev @ self.q0 if A_prev.size else 0.0) - np.eye(n)
-        return float(np.max(np.abs(M))) if n else 0.0
+        return _max_abs(self.q1 + A_prev @ self.q0 - np.eye(len(self.q1)))
 
     def three_term_defect(self, A_prev):
-        n = self.q1.shape[0]
-        M = (
-            self.q1
-            + self.harmonic
-            + (A_prev @ self.q0 if A_prev.size else 0.0)
-            - np.eye(n)
+        """max |Q1 + Qh + A_{n-1} Q0 - id|; zero at every level."""
+        return _max_abs(
+            self.q1 + self.harmonic + A_prev @ self.q0 - np.eye(len(self.q1))
         )
-        return float(np.max(np.abs(M))) if n else 0.0
 
 
 def regular_decomposition(cx, n, p_n=None):
     """Decomposition operators at level n: Q1 = P_n A_n, Q0 = P_{n-1}(1-Q1).
 
-    With trivial cohomology at level n this gives Q1 + A_{n-1} Q0 = id; in
-    general the identity needs the harmonic term: Q1 + Qh + A_{n-1} Q0 = id
-    where Qh projects the complement onto the harmonic space.  P_n is the
-    reduced inverse of A_n unless `p_n` is given; InvalidPotential is raised
-    when A_n P_n A_n misses A_n by more than 1e-8 times max(1, max|A_n|).
+    This is the algebraic pseudo-inverse splitting Q1 + A_{n-1} Q0 = id in
+    the L2 norms of the Grams, not the paper's regular decomposition, whose
+    parts carry higher Sobolev norms.  With trivial cohomology at level n
+    it gives Q1 + A_{n-1} Q0 = id; in general the identity needs the
+    harmonic term: Q1 + Qh + A_{n-1} Q0 = id where Qh projects the
+    complement onto the harmonic space.  Every level 0..3 is valid: beyond
+    the chain ends A_n or A_{n-1} is a zero map.  P_n is the reduced
+    inverse of A_n unless `p_n` is given; InvalidPotential is raised when
+    A_n P_n A_n misses A_n by more than 1e-8 times max(1, max|A_n|).
     """
     A_n = cx.op(n)
     A_prev = cx.op(n - 1)
     g_n = cx.gram(n)
     if p_n is None:
         p_n = reduced_inverse(A_n, g_n, cx.gram(n + 1))
-    if A_prev.size:
-        p_prev = reduced_inverse(A_prev, cx.gram(n - 1), g_n)
-    else:
-        p_prev = np.zeros((A_prev.shape[1], g_n.dim))
-    if A_n.size:
-        defect = float(np.max(np.abs(A_n @ p_n @ A_n - A_n)))
-        scale = max(float(np.max(np.abs(A_n))), 1.0)
-        if defect > 1e-8 * scale:
-            raise InvalidPotential(
-                "A_n P_n is not the identity on R(A_n): defect %g" % defect
-            )
-    dim = g_n.dim
-    q1 = p_n @ A_n if A_n.size else np.zeros((dim, dim))
-    complement = np.eye(dim) - q1
-    pi_h = harmonic_projector(cx, n)
-    harmonic = pi_h @ complement
-    q0 = p_prev @ complement if A_prev.size else np.zeros((A_prev.shape[1], dim))
+    p_prev = reduced_inverse(A_prev, cx.gram(n - 1), g_n)
+    defect = _max_abs(A_n @ p_n @ A_n - A_n)
+    if defect > 1e-8 * max(_max_abs(A_n), 1.0):
+        raise InvalidPotential(
+            "A_n P_n is not the identity on R(A_n): defect %g" % defect
+        )
+    q1 = p_n @ A_n
+    complement = np.eye(g_n.dim) - q1
+    harmonic = harmonic_projector(cx, n) @ complement
+    q0 = p_prev @ complement
     harm_dim = cohomology(cx, n).dimension
     return DecompositionOperators(
         n=n,
@@ -622,12 +603,8 @@ def regular_decomposition(cx, n, p_n=None):
 
 def operator_norm(M, g_dom, g_cod):
     """Weighted operator norm: largest singular value between the spaces."""
-    M = np.asarray(M, dtype=np.float64)
-    if not M.size:
-        return 0.0
-    Mt = g_cod.to_orthonormal(g_dom.transformed(M))
-    s = np.linalg.svd(Mt, compute_uv=False)
-    return float(s[0]) if s.size else 0.0
+    Mt = g_cod.to_orthonormal(g_dom.transformed(np.asarray(M, dtype=np.float64)))
+    return float(np.linalg.svd(Mt, compute_uv=False).max(initial=0.0))
 
 
 def _span_rank(X, g):
@@ -638,21 +615,13 @@ def _span_rank(X, g):
     matrix of projections that is numerically zero must report rank 0, not
     full rank relative to its own noise level.
     """
-    if not X.size:
-        return 0
     Y = g.to_orthonormal(X)
     s = np.linalg.svd(Y, compute_uv=False)
-    smax = s[0] if s.size else 0.0
-    return int(np.sum(s > default_rank_tol(Y.shape, max(smax, 1.0))))
+    return int(np.sum(s > default_rank_tol(Y.shape, s.max(initial=1.0))))
 
 
 def _same_span(X, Y, g):
-    rx = _span_rank(X, g)
-    ry = _span_rank(Y, g)
-    rj = _span_rank(
-        np.hstack([X, Y]) if X.size and Y.size else (X if X.size else Y), g
-    )
-    return rx == ry == rj
+    return _span_rank(X, g) == _span_rank(Y, g) == _span_rank(np.hstack([X, Y]), g)
 
 
 def kernel_projector_images(cx, n=1):
@@ -672,18 +641,12 @@ def kernel_projector_images(cx, n=1):
     harm = cohomology(cx, n).basis
     img1 = pi_star @ kn
     img2 = pi_ker @ kstar
-    range_prev = A_prev if A_prev.size else np.zeros((g.dim, 0))
-    on_range = (
-        float(np.max(np.abs(pi_star @ range_prev))) if range_prev.size else 0.0
-    )
     return {
         "harm_dim": harm.shape[1],
         "image_rank_star": _span_rank(img1, g),
         "image_rank_ker": _span_rank(img2, g),
-        "spans_agree": bool(_same_span(img1, harm, g) and _same_span(img2, harm, g))
-        if harm.size
-        else (_span_rank(img1, g) == 0 and _span_rank(img2, g) == 0),
-        "projector_kills_range": on_range,
+        "spans_agree": _same_span(img1, harm, g) and _same_span(img2, harm, g),
+        "projector_kills_range": _max_abs(pi_star @ A_prev),
     }
 
 
@@ -716,23 +679,12 @@ def pre_basis_check(B, cx, n=1):
     projected = pi_star @ B
     proj_rank = _span_rank(projected, g)
     # Harm ∩ B-perp: harmonic combinations annihilated by <B, .>_G
-    M = g.times_gram(B.T) @ harm if harm.size else np.zeros((B.shape[1], 0))
-    cap_dim = (
-        M.shape[1] - np.linalg.matrix_rank(M) if M.size else harm.shape[1]
-    )
+    BtG = g.times_gram(B.T)
+    cap_dim = d - np.linalg.matrix_rank(BtG @ harm)
     # N(A_{n-1}*) ∩ B-perp vs R(A_n*)
-    A_n = cx.op(n)
-    astar = adjoint(A_n, g, cx.gram(n + 1)) if A_n.size else np.zeros((g.dim, 0))
-    if kstar.size:
-        W = g.times_gram(B.T) @ kstar
-        if W.size:
-            _, s, Vt = np.linalg.svd(W, full_matrices=True)
-            r = int(np.sum(s > default_rank_tol(W.shape, s[0] if s.size else 0)))
-            cap_basis = kstar @ Vt[r:].T
-        else:
-            cap_basis = kstar
-    else:
-        cap_basis = np.zeros((g.dim, 0))
+    astar = adjoint(cx.op(n), g, cx.gram(n + 1))
+    W = BtG @ kstar
+    cap_basis = kstar @ kernel_basis(W, InnerProduct.identity(W.shape[1]))
     equals_range = _same_span(cap_basis, astar, g)
     ok = proj_rank == d and cap_dim == 0 and equals_range
     return {

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -10,6 +14,43 @@ def test_differentials_compose_to_zero():
     (d0, d1, d2), _ = derham.build_cubical(derham.solid_box_cells(3, 2, 2))
     assert not np.any(d1 @ d0)
     assert not np.any(d2 @ d1)
+
+
+_BROKEN_ORIENTATION = """
+import sys
+from elacomplex import derham, fa_toolbox as fa
+
+if __debug__:
+    sys.exit("not optimized")
+real = derham._incidence
+
+
+def flipped(cells):
+    (d0, d1, d2), entities = real(cells)
+    d0 = d0.copy()
+    d0[0] *= -1  # one edge against its axis: d1 d0 != 0
+    return (d0, d1, d2), entities
+
+
+derham._incidence = flipped
+try:
+    derham.build_cubical(derham.solid_box_cells())
+except fa.NotAComplex as exc:
+    print(exc)
+"""
+
+
+def test_composition_check_survives_python_O():
+    # python -O strips assert statements; the check must still raise
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_ORIENTATION],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "d1 d0 != 0"
 
 
 def test_solid_box_betti_oracle():

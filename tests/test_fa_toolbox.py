@@ -194,13 +194,14 @@ def test_helmholtz_random_orthogonality(torus):
 def test_helmholtz_operator_scales_computed_once_per_level(monkeypatch):
     cx = derham.cubical_complex(derham.torus_cells())
     calls = []
-    real = fa._operator_scales
+    real = fa.adjoint
 
-    def spy(A_prev, A_n, G):
-        calls.append(A_prev.shape)
-        return real(A_prev, A_n, G)
+    def spy(A, g_dom, g_cod):
+        # helmholtz takes A_n* only when it fills its per-level cache
+        calls.append(A.shape)
+        return real(A, g_dom, g_cod)
 
-    monkeypatch.setattr(fa, "_operator_scales", spy)
+    monkeypatch.setattr(fa, "adjoint", spy)
     rng = np.random.default_rng(5)
     for n in (1, 2):
         g = cx.gram(n)
@@ -218,7 +219,7 @@ def test_helmholtz_operator_scales_computed_once_per_level(monkeypatch):
                 res_a / max(1.0, op_a * e2),
                 res_b / max(1.0, op_b * e2),
             )
-    assert calls == [cx.op(0).shape, cx.op(1).shape]
+    assert calls == [cx.op(1).shape, cx.op(2).shape]
 
 
 def test_helmholtz_kernel_element_has_no_costar(torus):
@@ -389,6 +390,67 @@ def test_pre_basis_check_cardinality(torus):
     H = fa.cohomology(torus, 1).basis
     with pytest.raises(fa.WrongCardinality):
         fa.pre_basis_check(np.hstack([H, H]), torus)
+
+
+# --- chain ends ---------------------------------------------------------------
+
+
+def test_zero_size_linear_algebra():
+    # the toolbox takes empty operators and 0-dimensional spaces on its
+    # normal path, so it relies on these factorizations of empty arrays
+    for m, n in ((0, 3), (3, 0), (0, 0)):
+        A = np.zeros((m, n))
+        assert np.linalg.svd(A, compute_uv=False).shape == (0,)
+        U, s, Vt = np.linalg.svd(A, full_matrices=True)
+        assert s.shape == (0,)
+        _same_bits(U, np.eye(m))
+        _same_bits(Vt, np.eye(n))
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        assert (U.shape, s.shape, Vt.shape) == ((m, 0), (0,), (0, n))
+        assert np.linalg.matrix_rank(A) == 0
+    E = np.zeros((0, 0))
+    assert np.linalg.cholesky(E).shape == (0, 0)
+    assert cho_solve(cho_factor(E), E).shape == (0, 0)
+    assert solve_triangular(E, E).shape == (0, 0)
+    # empty right-hand sides against a nonempty factor
+    G = fa.random_spd(3, np.random.default_rng(24))
+    L = np.linalg.cholesky(G)
+    assert cho_solve(cho_factor(G), np.zeros((3, 0))).shape == (3, 0)
+    assert solve_triangular(L, np.zeros((3, 0)), lower=True).shape == (3, 0)
+
+
+@pytest.mark.parametrize("name", ["torus", "solid_box", "all", "X0,X1"])
+def test_chain_ends_take_the_normal_path(name, torus, box, complexes_p4):
+    cx = {"torus": torus, "solid_box": box}.get(name)
+    cx = cx or complexes_p4[name].finite_complex()
+    for n in (-1, 4):
+        assert cx.gram(n).dim == 0
+        assert cx.gram(n).G.shape == (0, 0)
+    for n in range(-2, 5):
+        assert cx.op(n).shape == (cx.gram(n + 1).dim, cx.gram(n).dim)
+    rng = np.random.default_rng(25)
+    for n in (0, 3):
+        g, A_n, A_prev = cx.gram(n), cx.op(n), cx.op(n - 1)
+        rep = fa.cohomology(cx, n)
+        H = rep.basis
+        assert H.shape == (cx.dims[n], rep.dimension)
+        K = fa.kernel_basis(A_n, g)
+        assert np.allclose(K.T @ g.G @ K, np.eye(K.shape[1]), atol=1e-10)
+        assert fa._max_abs(A_n @ K) < 1e-8
+        x = rng.standard_normal(cx.dims[n])
+        h = fa.helmholtz(x, cx, n)
+        assert h.residual < 1e-10 * max(1.0, g.norm(x))
+        assert not (h.x_range if n == 0 else h.x_costar).any()
+        images = fa.kernel_projector_images(cx, n)
+        assert images["harm_dim"] == rep.dimension
+        assert images["image_rank_star"] == images["image_rank_ker"] == rep.dimension
+        assert images["spans_agree"]
+        assert images["projector_kills_range"] < 1e-10
+        assert fa.pre_basis_check(H, cx, n)["passed"]
+        d = fa.regular_decomposition(cx, n)
+        assert d.harm_dim == rep.dimension
+        assert d.three_term_defect(A_prev) <= 1e-12
+        assert (d.two_term_defect(A_prev) <= 1e-12) == (rep.dimension == 0)
 
 
 # --- identity Grams -----------------------------------------------------------
@@ -583,14 +645,15 @@ def test_identity_results_are_fresh_arrays(torus):
 
 
 def test_complex_rejects_bad_shapes():
-    with pytest.raises(fa.DimensionMismatch):
+    with pytest.raises(fa.DimensionMismatch) as info:
         fa.FiniteComplex([np.eye(2), np.eye(2)], [np.zeros((3, 2))])
+    assert not isinstance(info.value, fa.NotAComplex)
 
 
 def test_complex_rejects_noncomplex():
     A0 = np.ones((2, 2))
     A1 = np.ones((2, 2))
-    with pytest.raises(fa.DimensionMismatch):
+    with pytest.raises(fa.NotAComplex, match="complex property violated"):
         fa.FiniteComplex([np.eye(2)] * 3, [A0, A1])
 
 
