@@ -8,7 +8,7 @@ their cohomology is known from the voxel geometry and independently
 computable by exact integer rank-nullity, which is the oracle the float
 toolbox is tested against.
 
-Cell sets for the shipped fixtures: a solid box (Betti 1, 0, 0) and a one
+Cell sets for the built-in fixtures (`FIXTURE_BUILDERS`): a solid box (Betti 1, 0, 0) and a one
 -hole slab ("torus", Betti 1, 1, 0).
 """
 

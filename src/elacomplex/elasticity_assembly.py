@@ -584,8 +584,13 @@ def _orthoframe_rows(X, ncomp, nvar, weights):
     polynomials with the component weights folded in, so the L2 Gram of the
     fields is B @ B.T for the returned B.  Entries of B are bounded by the
     field norms, hence that product carries no cancellation beyond ordinary
-    rounding; the change of frame itself runs in extended precision.  Row
-    i of B depends on row i of X alone.
+    rounding.  The change of frame runs in extended precision, but that
+    does not make B, or the Grams, float64-accurate: the monomial rows
+    reach 43-50 bits at p=6-7, and the frame change cancels more bits than
+    longdouble's 11 extra ones carry.  Against exact Grams (max|G| about
+    1.9), the largest entry errors measured in `float_grams` are 4.6e-12
+    at p=5 `X0`, 8.3e-10 at p=6 `X0` and 9.5e-8 at p=7 `none` (ROADMAP
+    items 4 and 11).  Row i of B depends on row i of X alone.
     """
     W = _legendre_frame(nvar)
     Z = X.reshape(X.shape[0], ncomp, nvar, nvar, nvar)
@@ -632,6 +637,14 @@ def _l2_norms(kind, nums, dens, nvar):
     norms of the rows of `_frame_rows`, so each is that of the field's
     extended-precision frame change alone.  This is the fallback and the
     oracle of `_norm_exponents`.
+
+    For ill-conditioned rows the oracle rests on 80-bit longdouble
+    rounding: the sum of (|W (x) W (x) W| |x|)^2 exceeds the squared norm
+    by up to 6.4e19 (p=5 `none`) and 9.4e23 (p=6 `X0`), so the frame
+    change's a-priori error, about (3 nvar + 20) 2^-64 times that sum, can
+    exceed the squared norm itself.  Those rows' exponents, hence their
+    level scaling, may differ on a platform whose longdouble is float64 or
+    quad.
     """
     return np.linalg.norm(_frame_rows(kind, nums, dens, nvar), axis=1)
 
@@ -1110,7 +1123,7 @@ def _face_compatible_combinations(potentials, bc):
     """
     if not bc.faces:
         return list(potentials)
-    cands = list(potentials) + list(rigid_motion_basis().fields)
+    cands = list(potentials) + list(rigid_motion_basis())
     nums, dens, nvar = _vector_rows(cands, 1)
     nums = nums.toarray()
     if int(np.abs(nums).max()) * nvar >= _COORD_LIMIT:
@@ -1205,7 +1218,14 @@ class ElasticityComplex:
     def float_grams(self):
         """L2 Grams of the four levels as float matrices (cached): per level
         one `_float_gram` of its `_frame_rows`, so no level is ever dense in
-        extended precision as a whole."""
+        extended precision as a whole.
+
+        They are not float64-accurate: the largest entry errors measured
+        against exact Grams (max|G| about 1.9) are 4.6e-12 at p=5 `X0`,
+        8.3e-10 at p=6 `X0` and 9.5e-8 at p=7 `none`, where the frame
+        change of `_orthoframe_rows` cancels more bits than longdouble
+        carries (ROADMAP items 4 and 11).
+        """
         grams = self._float.get("grams")
         if grams is None:
             grams = tuple(
@@ -1407,34 +1427,10 @@ def build_complex(p, gt="none", use_cache=True):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RigidMotionBasis:
-    """The six fields x -> a + b x x: three translations, three rotations."""
-
-    fields: tuple
-
-    def exact_gram(self):
-        """Exact 6x6 L2(box) Gram matrix, rows/cols in field order."""
-        n = len(self.fields)
-        return tuple(
-            tuple(
-                _box_integral(self.fields[i].dot(self.fields[j]))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-
-
-def _box_integral(poly):
-    """Exact integral of a polynomial over the unit box."""
-    total = Q(0)
-    for (a, b, c), coeff in poly.terms.items():
-        total += coeff * Q(1, (a + 1) * (b + 1) * (c + 1))
-    return total
-
-
+@cache
 def rigid_motion_basis():
-    """Translations e_i and rotations x -> e_i x x; sym_grad kills all six."""
+    """The six fields x -> a + b x x as a tuple: the translations e_i, then
+    the rotations x -> e_i x x.  Checked once that sym_grad kills all six."""
     x = Poly3.variable(0)
     y = Poly3.variable(1)
     z = Poly3.variable(2)
@@ -1451,7 +1447,7 @@ def rigid_motion_basis():
     for f in fields:
         if not pc.sym_grad(f).is_zero():
             raise AssertionError("rigid motion with nonzero symmetric gradient")
-    return RigidMotionBasis(fields)
+    return fields
 
 
 def rigid_motion_coordinates(space):
@@ -1465,7 +1461,7 @@ def rigid_motion_coordinates(space):
     """
     if space.kind != "vector":
         raise ValueError("rigid motions live in a vector space, not %r" % space.kind)
-    fields = rigid_motion_basis().fields
+    fields = rigid_motion_basis()
     rm_nums, rm_dens, nvar = _vector_rows(fields, space.degree + 1)
     nums = sparse.vstack([_space_rows(space, nvar), rm_nums], format="csr")
     dens = np.concatenate([np.ones(space.dim, dtype=np.int64), rm_dens])

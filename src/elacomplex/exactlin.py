@@ -34,15 +34,16 @@ independent by the exact zero pattern of their integer numerators over
 nonzero denominators.  Independence mod any prime certifies the core's
 kept rows independent over the rationals.  The expansion of every
 dependent row, flagged or not, is lifted to rationals by CRT plus Wang's
-rational reconstruction and checked exactly (modulo word-size check primes
-whose product exceeds a bound on both sides of the identity, one sparse
-product of the expansion weights per check prime), which proves the row
-dependent; so the kept set is the greedy selection over Q.  One prime is
-the normal case: the prime set grows one prime at a time, one pass per
-prime, reusing the passes already run, only while a lift fails or does not
-verify, so a wrong lift can only fail loudly (`ReconstructionFailure`),
-never pass.  No prime runs when every row is a structural pivot.  Neither
-the elimination nor the check calls BLAS.
+rational reconstruction and checked exactly, by one modular check: check
+primes below 2^20 are drawn, largest first, until their product exceeds
+twice a bound on both sides of the identity, and the identity is compared
+modulo each of them, one sparse product of the expansion weights per check
+prime.  That proves the row dependent, so the kept set is the greedy
+selection over Q.  One prime is the normal case: the prime set grows one
+prime at a time, one pass per prime, reusing the passes already run, only
+while a lift fails or does not verify, so a wrong lift can only fail loudly
+(`ReconstructionFailure`), never pass.  No prime runs when every row is a
+structural pivot.  Neither the elimination nor the check calls BLAS.
 """
 
 from math import gcd, isqrt, lcm, log2
@@ -71,22 +72,32 @@ PRIMES = (
 )
 
 
-# primes just below 2^20 for the exact check: a sum of 2^13 products of two
-# residues stays below 2^53
-CHECK_PRIMES = (
-    1048573,
-    1048571,
-    1048559,
-    1048549,
-    1048517,
-    1048507,
-    1048447,
-    1048433,
-)
-_CHECK_BLOCK = 1 << 13
-
 class ReconstructionFailure(RuntimeError):
     """Rational lift could not be certified with the available primes."""
+
+
+# the exact check runs modulo the primes below 2^20, largest first: a sum of
+# 2^13 products of two residues stays below 2^53.  They are found as they are
+# drawn and cached in _check_primes.
+_CHECK_LIMIT = 1 << 20
+_CHECK_BLOCK = 1 << 13
+_check_primes = []
+
+
+def _check_prime(i):
+    """The i-th prime below _CHECK_LIMIT, largest first, by trial division.
+
+    Raises ReconstructionFailure when there are not i + 1 of them, so that a
+    check can never pass on a cover it does not have.
+    """
+    n = _check_primes[-1] if _check_primes else _CHECK_LIMIT
+    while len(_check_primes) <= i:
+        n -= 1
+        if n < 2:
+            raise ReconstructionFailure("the check primes ran out")
+        if all(n % d for d in range(2, isqrt(n) + 1)):
+            _check_primes.append(n)
+    return _check_primes[i]
 
 
 def _reduce(x, p):
@@ -239,31 +250,17 @@ def _lift(passes, primes):
     return kept, values, index.T
 
 
-def _exact_hold(nums, dens, kept, dependent, coeffs):
-    """Python-integer check that each dependent row equals its expansion."""
-    for idx, row in zip(dependent, coeffs):
-        weights = [(k, c / int(dens[k])) for c, k in zip(row, kept) if c != 0]
-        den = int(dens[idx])
-        scale = lcm(den, *(int(w.denominator) for _, w in weights))
-        acc = nums[idx].astype(object) * (scale // den)
-        for k, w in weights:
-            nz = np.flatnonzero(nums[k])
-            acc[nz] -= nums[k, nz].astype(object) * int(w * scale)
-        if np.any(acc != 0):
-            return False
-    return True
-
-
 def _expansions_hold(nums, dens, kept, values, index):
     """Exact check that every dependent row equals its lifted expansion.
 
     With L the lcm of the row denominators times the lcm of the coefficient
     denominators, each dependent row i gives an integer identity
     L nums[i] / dens[i] = sum_k (L c_ik / dens[k]) nums[kept[k]] whose two
-    sides are bounded by H.  When the check primes that do not divide L
-    have a product above 2H, the identity is compared modulo each of them;
-    equality modulo a product above 2H is exact equality.  Otherwise the
-    rows are compared in Python integers.
+    sides are bounded by H.  Check primes that do not divide L are drawn,
+    largest first, until their product exceeds 2H, and the identity is
+    compared modulo each of them; equality modulo a product above 2H is
+    exact equality (CRT).  ReconstructionFailure is raised if the primes
+    below 2^20 run out first.
 
     The expansions are sparse, so the weights are a CSR matrix on the
     nonzeros of `index`, whose structure is found once; for each prime its
@@ -286,16 +283,13 @@ def _expansions_hold(nums, dens, kept, values, index):
     top = max(size.max(initial=0), magnitude[dependent].max(initial=0))
     # log2(2H), plus one bit for the rounding of the float bound
     bits = log2(scale) + log2(top) + 2 if top > 0 else 0
-    moduli, cover = [], 0.0
-    for q in CHECK_PRIMES:
-        if cover >= bits:
-            break
+    moduli, cover, i = [], 0.0, 0
+    while cover < bits:
+        q = _check_prime(i)
+        i += 1
         if scale % q:
             moduli.append(q)
             cover += log2(q)
-    if cover < bits:
-        coeffs = [[values[u] for u in row] for row in index.tolist()]
-        return _exact_hold(nums, dens, kept, dependent, coeffs)
     for q in moduli:
         table = [v.numerator * pow(v.denominator, -1, q) % q for v in values]
         W = sparse.csr_matrix(

@@ -18,10 +18,8 @@ mutation run perturbs; a correct harness must then report failure with a
 printable counterexample.
 """
 
-import json
 import random
 from dataclasses import dataclass, field
-from importlib import resources
 
 from . import poly_calculus as pc
 from .poly_calculus import (
@@ -600,7 +598,8 @@ def run_all(trials=20, degree=3, seed=0, mutated=False, only=None):
 
 
 def registry_metadata():
-    """The registry as plain data (mirrors identities.json)."""
+    """The registry as plain data, one dict per case in ALL_IDENTITY_IDS
+    order: its id, catalogue item, statement and input kinds."""
     return [
         {
             "id": cid,
@@ -611,8 +610,3 @@ def registry_metadata():
         for cid in ALL_IDENTITY_IDS
     ]
 
-
-def load_registry_file():
-    """identities.json shipped with the package."""
-    with resources.files(__package__).joinpath("identities.json").open() as f:
-        return json.load(f)

@@ -3,14 +3,13 @@ import dataclasses
 import io
 import json
 import tempfile
-from importlib import resources
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elacomplex import cli
+from elacomplex import cli, derham
 from elacomplex import fa_toolbox as fa
 from elacomplex.elasticity_assembly import AssemblyError
 
@@ -224,10 +223,7 @@ def test_fixture_reads_betti_numbers_without_a_kernel_basis(capsys, monkeypatch)
 
 
 def _solid_box_data():
-    text = (
-        resources.files("elacomplex") / "fixtures" / "solid_box.json"
-    ).read_text()
-    return json.loads(text)
+    return derham.cubical_complex(derham.solid_box_cells()).to_json_dict()
 
 
 def test_fixture_from_path(tmp_path, capsys):

@@ -41,21 +41,38 @@ def brute_select(rows):
     return kept
 
 
-def test_primes_are_prime_and_in_range():
-    def is_prime(n):
-        if n % 2 == 0:
+def _is_prime(n):
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
             return False
-        d = 3
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
+        d += 2
+    return n > 1
 
+
+def test_primes_are_prime_and_in_range():
     for p in xl.PRIMES:
         assert p < 2**26
-        assert is_prime(p)
+        assert _is_prime(p)
     assert len(set(xl.PRIMES)) == len(xl.PRIMES)
+
+
+# the fixed check-prime table that the drawn check primes replaced
+FORMER_CHECK_PRIMES = [
+    1048573, 1048571, 1048559, 1048549, 1048517, 1048507, 1048447, 1048433,
+]
+
+
+def test_check_primes_are_the_primes_below_2_20_largest_first(monkeypatch):
+    monkeypatch.setattr(xl, "_check_primes", [])
+    # drawn out of order, from an empty cache: the same sequence
+    assert xl._check_prime(20) == xl._check_prime(20)
+    drawn = [xl._check_prime(i) for i in range(24)]
+    assert drawn[:8] == FORMER_CHECK_PRIMES
+    assert xl._check_primes == drawn
+    assert drawn == [n for n in range(2**20 - 1, drawn[-1] - 1, -1) if _is_prime(n)]
 
 
 def test_crt_and_rational_reconstruction_roundtrip():
@@ -537,25 +554,28 @@ def test_select_rows_rejects_a_faked_unflagged_dependency(monkeypatch):
     assert used == 2 and len(calls) == 2
 
 
-def _spy_exact_hold(monkeypatch):
-    real = xl._exact_hold
-    calls = []
+def _spy_check_primes(monkeypatch):
+    """The number of check primes drawn, one entry per check."""
+    real = xl._check_prime
+    drawn = []
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+    def spy(i):
+        if i == 0:
+            drawn.append(0)
+        drawn[-1] = i + 1
+        return real(i)
 
-    monkeypatch.setattr(xl, "_exact_hold", spy)
-    return calls
+    monkeypatch.setattr(xl, "_check_prime", spy)
+    return drawn
 
 
 @pytest.mark.parametrize("block", [1 << 13, 3, 2, 1])
 def test_expansions_hold_modular_branch(monkeypatch, block):
-    # small entries: the bound lies below the product of the check primes;
-    # blocks of 1 to 3 kept rows exercise the blocked product, whose sparse
-    # weight slices then cross block edges
+    # small entries: the bound lies below the product of the first eight
+    # check primes; blocks of 1 to 3 kept rows exercise the blocked product,
+    # whose sparse weight slices then cross block edges
     monkeypatch.setattr(xl, "_CHECK_BLOCK", block)
-    exact = _spy_exact_hold(monkeypatch)
+    drawn = _spy_check_primes(monkeypatch)
     nums, dens = _low_rank(31, 20, 12, 6)
     kept, values, index = xl._lift(
         [xl._select_mod_p(xl.mod_rows(nums, dens, p), p) for p in xl.PRIMES[:2]],
@@ -566,29 +586,47 @@ def test_expansions_hold_modular_branch(monkeypatch, block):
     u = index.max()
     wrong = values[:u] + [values[u] + Q(1, 7)] + values[u + 1 :]
     assert not xl._expansions_hold(nums, dens, kept, wrong, index)
-    assert exact == []
+    assert len(drawn) == 2 and max(drawn) <= 8
+
+
+def _wide_bound_rows():
+    # coprime 61-bit denominators and 62-bit numerators push the bound
+    # above the product of the first eight check primes
+    d0, d1, a = 2**61 - 1, 2**60 + 1, 2**62 - 1
+    return np.array([[a, 0], [a, 0], [0, 1]], dtype=np.int64), [d0, d1, 1]
 
 
 def test_expansions_hold_exact_branch_above_the_bound(monkeypatch):
-    # coprime 61-bit denominators and 62-bit numerators push the bound
-    # above the product of all check primes, so the rows are compared in
-    # Python integers
-    exact = _spy_exact_hold(monkeypatch)
-    d0, d1, a = 2**61 - 1, 2**60 + 1, 2**62 - 1
-    nums = np.array([[a, 0], [a, 0], [0, 1]], dtype=np.int64)
-    kept, exps, used = xl.select_rows(nums, [d0, d1, 1], [True, True, True])
+    drawn = _spy_check_primes(monkeypatch)
+    nums, dens = _wide_bound_rows()
+    d0, d1, _ = dens
+    kept, exps, used = xl.select_rows(nums, dens, [True, True, True])
     assert kept == [0, 2]
     assert exps == {1: {0: Q(d0, d1)}}
     # passes 1 to 3 lift wrong fractions and are refused, pass 4 lifts
-    # none; the bounds of passes 3 and 5 lie above the product of the check
-    # primes
+    # none; the bounds of passes 3 and 5 need more than eight check primes
     assert used == 5
-    assert len(exact) == 2
+    assert drawn == [7, 8, 9, 10]
+    drawn.clear()
     values = [Q(0), Q(d0, d1) + Q(1, 2**62)]
-    assert not xl._expansions_hold(
-        nums, np.array([d0, d1, 1]), kept, values, np.array([[1, 0]])
-    )
-    assert len(exact) == 3
+    index = np.array([[1, 0]])
+    assert not xl._expansions_hold(nums, np.array(dens), kept, values, index)
+    assert drawn == [13]
+
+
+def test_expansions_hold_raises_when_the_check_primes_run_out(monkeypatch):
+    # the primes below 64 cover about 80 bits, short of the bound
+    monkeypatch.setattr(xl, "_CHECK_LIMIT", 64)
+    monkeypatch.setattr(xl, "_check_primes", [])
+    nums, dens = _wide_bound_rows()
+    d0, d1, _ = dens
+    index = np.array([[1, 0]])
+    for q in (Q(d0, d1), Q(d0, d1) + Q(1, 2**62)):
+        with pytest.raises(xl.ReconstructionFailure, match="ran out"):
+            xl._expansions_hold(nums, np.array(dens), [0, 2], [Q(0), q], index)
+    assert xl._check_primes == [n for n in range(63, 1, -1) if _is_prime(n)]
+    with pytest.raises(xl.ReconstructionFailure, match="ran out"):
+        xl.select_rows(nums, dens, [True, True, True])
 
 
 # --- structural pivots ------------------------------------------------------

@@ -14,8 +14,11 @@ def test_registry_has_28_cases():
     assert ids.ALL_IDENTITY_IDS[-1] == "ELA-SCHWARZ"
 
 
-def test_registry_file_matches_code():
-    assert ids.load_registry_file() == ids.registry_metadata()
+def test_registry_metadata_lists_every_case():
+    meta = ids.registry_metadata()
+    assert [m["id"] for m in meta] == list(ids.ALL_IDENTITY_IDS)
+    for m in meta:
+        assert isinstance(m["item"], int) and m["statement"] and m["inputs"]
 
 
 def test_unknown_identity():
